@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +40,10 @@ Result<double> ParseDouble(std::string_view input) {
   errno = 0;
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) {
+  // strtod also sets ERANGE on underflow, where it returns a subnormal or
+  // zero that is the correctly rounded value; only overflow is an error.
+  const bool overflow = errno == ERANGE && std::fabs(value) == HUGE_VAL;
+  if (overflow || end != buf.c_str() + buf.size()) {
     return Status::InvalidArgument("malformed double: '" + buf + "'");
   }
   return value;

@@ -16,7 +16,9 @@ std::vector<std::string> StrSplit(std::string_view input, char delim);
 std::string_view StrTrim(std::string_view input);
 
 /// Parses a double / int64; returns InvalidArgument on malformed or
-/// partially-consumed input.
+/// partially-consumed input, or on a value out of range. For doubles only
+/// overflow is out of range: an underflowing value parses to its subnormal
+/// or zero rounding.
 Result<double> ParseDouble(std::string_view input);
 Result<int64_t> ParseInt64(std::string_view input);
 

@@ -7,6 +7,7 @@
 
 #include "common/crc32.h"
 #include "common/strings.h"
+#include "nn/checkpoint.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define RPAS_QCKPT_HAVE_MMAP 1
@@ -25,15 +26,11 @@ using tensor::DType;
 using tensor::Matrix;
 using tensor::PayloadBytes;
 
-// Hard sanity caps applied to both writer and loader. They bound every
-// allocation the loader makes from untrusted fields long before any
-// multiplication can overflow.
+// Hard sanity caps applied to both writer and loader, beside the shared
+// kCkpt* caps in nn/checkpoint.h.
 constexpr size_t kFixedHeaderBytes = 28;
-constexpr size_t kMaxTensors = 4096;
 constexpr size_t kMaxNameBytes = 256;
 constexpr size_t kMaxSignatureBytes = 4096;
-constexpr size_t kMaxDim = size_t{1} << 24;
-constexpr size_t kMaxElements = size_t{1} << 28;
 
 size_t AlignUp(size_t v) {
   return (v + kQckptAlign - 1) / kQckptAlign * kQckptAlign;
@@ -127,10 +124,10 @@ Status WriteQuantizedCheckpoint(const std::string& path,
     return Status::InvalidArgument(
         "rpasq: signature must be non-empty and at most 4096 bytes");
   }
-  if (tensors.empty() || tensors.size() > kMaxTensors) {
+  if (tensors.empty() || tensors.size() > kCkptMaxTensors) {
     return Status::InvalidArgument(StrFormat(
         "rpasq: tensor count %zu outside [1, %zu]", tensors.size(),
-        kMaxTensors));
+        kCkptMaxTensors));
   }
   size_t table_bytes = 0;
   for (const QTensorSpec& t : tensors) {
@@ -142,8 +139,8 @@ Status WriteQuantizedCheckpoint(const std::string& path,
       return Status::InvalidArgument("rpasq: tensor '" + t.name +
                                      "' has no data");
     }
-    if (t.data->rows() > kMaxDim || t.data->cols() > kMaxDim ||
-        t.data->size() > kMaxElements) {
+    if (t.data->rows() > kCkptMaxDim || t.data->cols() > kCkptMaxDim ||
+        t.data->size() > kCkptMaxElements) {
       return Status::InvalidArgument("rpasq: tensor '" + t.name +
                                      "' exceeds the format's size caps");
     }
@@ -243,48 +240,6 @@ Status SaveQuantized(const std::string& path, const std::string& signature,
     specs.push_back(std::move(spec));
   }
   return WriteQuantizedCheckpoint(path, signature, specs);
-}
-
-Result<ParsedTextCheckpoint> ReadTextCheckpoint(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  std::string line;
-  if (!std::getline(in, line) || line != "RPASCKPT1") {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not an RPAS text checkpoint");
-  }
-  ParsedTextCheckpoint parsed;
-  if (!std::getline(in, parsed.signature) || parsed.signature.empty()) {
-    return Status::InvalidArgument("'" + path +
-                                   "' has no architecture signature");
-  }
-  size_t count = 0;
-  if (!(in >> count) || count == 0 || count > kMaxTensors) {
-    return Status::InvalidArgument("'" + path +
-                                   "' has a missing or absurd tensor count");
-  }
-  parsed.tensors.reserve(count);
-  for (size_t idx = 0; idx < count; ++idx) {
-    size_t rows = 0;
-    size_t cols = 0;
-    if (!(in >> rows >> cols) || rows == 0 || cols == 0 || rows > kMaxDim ||
-        cols > kMaxDim || rows * cols > kMaxElements) {
-      return Status::InvalidArgument(
-          StrFormat("'%s': tensor %zu has a truncated or absurd shape",
-                    path.c_str(), idx));
-    }
-    Matrix m(rows, cols);
-    for (size_t i = 0; i < m.size(); ++i) {
-      if (!(in >> m[i])) {
-        return Status::InvalidArgument(StrFormat(
-            "'%s': tensor %zu data is truncated", path.c_str(), idx));
-      }
-    }
-    parsed.tensors.push_back(std::move(m));
-  }
-  return parsed;
 }
 
 Status QuantizeCheckpointFile(const std::string& in_path,
@@ -421,9 +376,9 @@ Status QuantizedCheckpoint::Validate(const std::string& path) {
                      StrFormat("unknown flag bits 0x%x (reader knows none)",
                                flags));
   }
-  if (num_tensors == 0 || num_tensors > kMaxTensors) {
+  if (num_tensors == 0 || num_tensors > kCkptMaxTensors) {
     return Malformed(path, StrFormat("tensor count %u outside [1, %zu]",
-                                     num_tensors, kMaxTensors));
+                                     num_tensors, kCkptMaxTensors));
   }
   const size_t header_bytes = header_bytes32;
   if (header_bytes % kQckptAlign != 0 || header_bytes < kQckptAlign ||
@@ -484,8 +439,8 @@ Status QuantizedCheckpoint::Validate(const std::string& path) {
                           name.c_str(), dtype_code));
     }
     const DType dtype = static_cast<DType>(dtype_code);
-    if (rows == 0 || cols == 0 || rows > kMaxDim || cols > kMaxDim ||
-        rows * cols > kMaxElements) {
+    if (rows == 0 || cols == 0 || rows > kCkptMaxDim || cols > kCkptMaxDim ||
+        rows * cols > kCkptMaxElements) {
       return Malformed(path,
                        StrFormat("tensor '%s' shape %llu x %llu is empty or "
                                  "exceeds the format caps",

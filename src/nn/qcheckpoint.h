@@ -72,16 +72,6 @@ Status SaveQuantized(const std::string& path, const std::string& signature,
                      const std::vector<autodiff::Parameter*>& params,
                      tensor::DType target);
 
-/// Generic reader for the *text* checkpoint format (nn/checkpoint.h),
-/// model-free: the signature plus every tensor in file order. Used by the
-/// rpas_quantize converter, which re-encodes without knowing the
-/// architecture.
-struct ParsedTextCheckpoint {
-  std::string signature;
-  std::vector<tensor::Matrix> tensors;
-};
-Result<ParsedTextCheckpoint> ReadTextCheckpoint(const std::string& path);
-
 /// One-call converter: text checkpoint -> rpasq.v1 at `target` dtype.
 Status QuantizeCheckpointFile(const std::string& in_path,
                               const std::string& out_path,

@@ -1,7 +1,9 @@
-// rpasq.v1 format hardening: structure-aware malformed-input corpus,
-// round-trip / golden-file properties, and the fp16/q8 numeric contracts.
+// Checkpoint loader hardening for both formats. rpasq.v1: structure-aware
+// malformed-input corpus, round-trip / golden-file properties, and the
+// fp16/q8 numeric contracts. Text (nn/checkpoint.h): the malformed-input
+// corpus, bit-exactness against an istream oracle, and a golden file.
 //
-// The loader treats checkpoint files as untrusted input. Every case in the
+// The loaders treat checkpoint files as untrusted input. Every case in the
 // malformed corpus below must produce a typed Status (InvalidArgument for
 // malformed bytes, IoError for filesystem failures) — never a crash, UB,
 // or a partially constructed checkpoint. The suite runs under ASan and
@@ -17,8 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +32,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "nn/checkpoint.h"
 #include "nn/qcheckpoint.h"
 #include "tensor/quant.h"
 
@@ -845,6 +851,402 @@ TEST(CkptFormatGolden, AssignDequantizedChecksShape) {
     EXPECT_EQ(right.value[i], w[i]);
   }
   std::remove(path.c_str());
+}
+
+
+// ---------------------------------------------------------------------------
+// Text checkpoints (nn/checkpoint.h): the raw round trip and mismatch
+// cases, the malformed-input corpus, bit-exactness against an istream
+// oracle, and the writer's golden file.
+// ---------------------------------------------------------------------------
+
+class CheckpointTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = std::filesystem::temp_directory_path() /
+            ("rpas_ckpt_" + std::to_string(::getpid()) + ".txt");
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+  std::string path() const { return path_.string(); }
+  std::filesystem::path path_;
+};
+
+TEST_F(CheckpointTest, RawRoundTrip) {
+  Rng rng(7);
+  autodiff::Parameter a(tensor::Matrix(3, 4));
+  autodiff::Parameter b(tensor::Matrix(1, 2));
+  for (size_t i = 0; i < a.value.size(); ++i) {
+    a.value[i] = rng.Normal();
+  }
+  b.value(0, 0) = 1.5;
+  b.value(0, 1) = -2.25;
+  ASSERT_TRUE(nn::SaveParameters(path(), "sig", {&a, &b}).ok());
+
+  autodiff::Parameter a2(tensor::Matrix(3, 4));
+  autodiff::Parameter b2(tensor::Matrix(1, 2));
+  ASSERT_TRUE(nn::LoadParameters(path(), "sig", {&a2, &b2}).ok());
+  for (size_t i = 0; i < a.value.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a2.value[i], a.value[i]);
+  }
+  EXPECT_DOUBLE_EQ(b2.value(0, 1), -2.25);
+}
+
+TEST_F(CheckpointTest, SignatureMismatchRejected) {
+  autodiff::Parameter a(tensor::Matrix(1, 1));
+  ASSERT_TRUE(nn::SaveParameters(path(), "model-v1", {&a}).ok());
+  EXPECT_EQ(nn::LoadParameters(path(), "model-v2", {&a}).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, ShapeMismatchRejected) {
+  autodiff::Parameter a(tensor::Matrix(2, 2));
+  ASSERT_TRUE(nn::SaveParameters(path(), "sig", {&a}).ok());
+  autodiff::Parameter wrong(tensor::Matrix(2, 3));
+  EXPECT_EQ(nn::LoadParameters(path(), "sig", {&wrong}).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, CountMismatchRejected) {
+  autodiff::Parameter a(tensor::Matrix(1, 1));
+  ASSERT_TRUE(nn::SaveParameters(path(), "sig", {&a}).ok());
+  autodiff::Parameter b(tensor::Matrix(1, 1));
+  EXPECT_EQ(nn::LoadParameters(path(), "sig", {&a, &b}).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, MissingFileIsIoError) {
+  autodiff::Parameter a(tensor::Matrix(1, 1));
+  EXPECT_EQ(nn::LoadParameters("/nonexistent/ckpt", "sig", {&a}).code(),
+            StatusCode::kIoError);
+}
+
+constexpr char kTextSig[] = "text fuzz v1";
+constexpr double kSentinel = 7.0;
+
+/// The valid text checkpoint every text corruption case starts from: a 2x3
+/// weight and a 1x2 bias.
+const std::string& TextRef() {
+  static const std::string* text = [] {
+    autodiff::Parameter w(Matrix{{0.1, -2.5, 3e-5}, {1e10, -0.0, 42.0}});
+    autodiff::Parameter b(Matrix{{1.5, -2.25}});
+    const std::string path = TmpPath("text_ref");
+    RPAS_CHECK(SaveParameters(path, kTextSig, {&w, &b}).ok());
+    const std::vector<uint8_t> bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    return new std::string(bytes.begin(), bytes.end());
+  }();
+  return *text;
+}
+
+std::string Replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const size_t pos = text.find(from);
+  RPAS_CHECK(pos != std::string::npos) << from;
+  return text.replace(pos, from.size(), to);
+}
+
+std::string WriteTextCase(const std::string& text) {
+  const std::string path = TmpPath("text_case");
+  WriteFileBytes(path, std::vector<uint8_t>(text.begin(), text.end()));
+  return path;
+}
+
+/// Loads `text` into sentinel-filled parameters shaped like TextRef()'s and
+/// expects a typed InvalidArgument that leaves every value and gradient
+/// untouched.
+void ExpectLoadRejected(const std::string& text, const std::string& what) {
+  const std::string path = WriteTextCase(text);
+  autodiff::Parameter w(Matrix(2, 3, kSentinel));
+  autodiff::Parameter b(Matrix(1, 2, kSentinel));
+  w.grad.Fill(kSentinel);
+  b.grad.Fill(kSentinel);
+  const Status st = LoadParameters(path, kTextSig, {&w, &b});
+  std::remove(path.c_str());
+  ASSERT_EQ(st.code(), StatusCode::kInvalidArgument)
+      << what << ": " << st.ToString();
+  for (const autodiff::Parameter* p : {&w, &b}) {
+    for (size_t i = 0; i < p->size(); ++i) {
+      ASSERT_EQ(p->value[i], kSentinel) << what << ": value overwritten";
+      ASSERT_EQ(p->grad[i], kSentinel) << what << ": gradient reset";
+    }
+  }
+}
+
+/// ExpectLoadRejected, plus the model-free reader must reject it too.
+void ExpectMalformedText(const std::string& text, const std::string& what) {
+  ExpectLoadRejected(text, what);
+  const std::string path = WriteTextCase(text);
+  const Result<ParsedTextCheckpoint> parsed = ReadTextCheckpoint(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(parsed.ok()) << what << ": model-free reader accepted it";
+  ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+      << what << ": " << parsed.status().ToString();
+}
+
+/// Bit pattern of a double, so -0.0 and 0.0 compare unequal.
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(CkptTextFuzz, ReferenceLoads) {
+  const std::string path = WriteTextCase(TextRef());
+  autodiff::Parameter w(Matrix(2, 3, kSentinel));
+  autodiff::Parameter b(Matrix(1, 2, kSentinel));
+  w.grad.Fill(kSentinel);
+  ASSERT_TRUE(LoadParameters(path, kTextSig, {&w, &b}).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(w.value(1, 0), 1e10);
+  EXPECT_EQ(Bits(w.value(1, 1)), Bits(-0.0));
+  EXPECT_EQ(b.value(0, 1), -2.25);
+  EXPECT_EQ(w.grad[0], 0.0);  // gradients reset on success
+}
+
+TEST(CkptTextFuzz, EmptyFile) { ExpectMalformedText("", "empty file"); }
+
+TEST(CkptTextFuzz, BadMagic) {
+  ExpectMalformedText(Replaced(TextRef(), "RPASCKPT1", "RPASCKPT2"),
+                      "bad magic");
+  ExpectMalformedText(Replaced(TextRef(), "RPASCKPT1\n", "RPASCKPT1 \n"),
+                      "magic with trailing blank");
+}
+
+TEST(CkptTextFuzz, MissingSignature) {
+  ExpectMalformedText("RPASCKPT1\n", "magic only");
+  ExpectMalformedText(Replaced(TextRef(), kTextSig, ""), "empty signature");
+}
+
+TEST(CkptTextFuzz, SignatureMismatch) {
+  ExpectLoadRejected(Replaced(TextRef(), kTextSig, "text fuzz v2"),
+                     "other signature");
+  ExpectLoadRejected(Replaced(TextRef(), kTextSig, "text fuzz v1\r"),
+                     "signature with CR");
+}
+
+TEST(CkptTextFuzz, TensorCountMismatch) {
+  autodiff::Parameter w(Matrix(2, 3, 1.0));
+  autodiff::Parameter b(Matrix(1, 2, 1.0));
+  const std::string path = TmpPath("text_count");
+  for (const std::vector<autodiff::Parameter*>& saved :
+       {std::vector<autodiff::Parameter*>{&w},
+        std::vector<autodiff::Parameter*>{&w, &b, &b}}) {
+    ASSERT_TRUE(SaveParameters(path, kTextSig, saved).ok());
+    const std::vector<uint8_t> bytes = ReadFileBytes(path);
+    ExpectLoadRejected(std::string(bytes.begin(), bytes.end()),
+                       StrFormat("%zu tensors", saved.size()));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CkptTextFuzz, ShapeMismatch) {
+  // The first tensor matches; the second does not, and the first must not
+  // have been written when the load fails.
+  ExpectLoadRejected(Replaced(TextRef(), "\n1 2\n", "\n2 1\n"),
+                     "transposed second tensor");
+  ExpectLoadRejected(Replaced(TextRef(), "\n2 3\n", "\n3 2\n"),
+                     "transposed first tensor");
+}
+
+TEST(CkptTextFuzz, AbsurdTensorCounts) {
+  for (const char* count :
+       {"0", "4097", "-1", "+-2", "18446744073709551616", "2.0", "two"}) {
+    ExpectMalformedText(Replaced(TextRef(), "\n2\n2 3\n",
+                                 std::string("\n") + count + "\n2 3\n"),
+                        std::string("count ") + count);
+  }
+}
+
+TEST(CkptTextFuzz, AbsurdShapes) {
+  // Zero, over the per-dimension cap, over the element cap with both
+  // dimensions in range, and in range but larger than the file can hold
+  // (rejected before the matrix is allocated).
+  for (const char* shape :
+       {"0 3", "2 0", "16777217 1", "16385 16384", "4096 4096", "2 -3",
+        "2 3.0", "2"}) {
+    ExpectMalformedText(
+        Replaced(TextRef(), "\n2 3\n", std::string("\n") + shape + "\n"),
+        std::string("shape ") + shape);
+  }
+}
+
+TEST(CkptTextFuzz, BadValueTokens) {
+  for (const char* token :
+       {"nan", "-nan", "inf", "-inf", "infinity", "1e400", "-1e400",
+        "1e99999", "0x1p3", "1.5abc", "1e", "+-1", "++1", "--1", "-", "+",
+        ".", "e5", "1e5.5", "1,5"}) {
+    ExpectMalformedText(Replaced(TextRef(), "42", token),
+                        std::string("token ") + token);
+  }
+}
+
+// Every proper prefix of a valid file must be rejected. A file cut inside
+// its last number reads as truncated rather than as a shorter number,
+// because every number must be followed by whitespace.
+TEST(CkptTextFuzz, EveryTruncationRejected) {
+  const std::string& ref = TextRef();
+  for (size_t len = 0; len < ref.size(); ++len) {
+    ExpectMalformedText(ref.substr(0, len),
+                        StrFormat("truncation to %zu bytes", len));
+  }
+}
+
+// Layouts the writer never emits but `istream >>` accepted: a leading '+',
+// any run of whitespace between tokens, values split across lines, and a
+// value that underflows (read as a signed zero, as strtod returns it).
+TEST(CkptTextFuzz, IstreamLayoutsAccepted) {
+  const std::string text =
+      "RPASCKPT1\ntext fuzz v1\n  +2\r\n\t2\v 3\n"
+      "+0.1\t\t-2.5\n\n3e-5 +1E10\f-0 1e-400\n"
+      "1 +2 \n  1.5 -1e-400\n";
+  const std::string path = WriteTextCase(text);
+  autodiff::Parameter w(Matrix(2, 3, kSentinel));
+  autodiff::Parameter b(Matrix(1, 2, kSentinel));
+  const Status st = LoadParameters(path, kTextSig, {&w, &b});
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const double want_w[] = {0.1, -2.5, 3e-5, 1e10, -0.0, 0.0};
+  for (size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(Bits(w.value[i]), Bits(want_w[i])) << i;
+  }
+  EXPECT_EQ(b.value[0], 1.5);
+  EXPECT_EQ(Bits(b.value[1]), Bits(-0.0));
+
+  // The oracle agrees on the underflowing tokens.
+  std::istringstream oracle("1e-400 -1e-400");
+  double pos = 1.0;
+  double neg = 1.0;
+  ASSERT_TRUE(oracle >> pos >> neg);
+  EXPECT_EQ(Bits(pos), Bits(0.0));
+  EXPECT_EQ(Bits(neg), Bits(-0.0));
+}
+
+TEST(CkptTextFuzz, MissingFileIsIoError) {
+  EXPECT_EQ(ReadTextCheckpoint("/nonexistent/ckpt.txt").status().code(),
+            StatusCode::kIoError);
+}
+
+// SaveParameters -> LoadParameters reproduces every value bit for bit,
+// including the edges of the double range and 1-ulp neighbours of values
+// whose 17-digit forms differ only in the last digit.
+TEST(CkptTextRoundTrip, EdgeValuesAreBitExact) {
+  using Lim = std::numeric_limits<double>;
+  std::vector<double> values = {
+      Lim::denorm_min(), -Lim::denorm_min(), Lim::min() - Lim::denorm_min(),
+      Lim::min(),        -Lim::min(),        Lim::max(),
+      -Lim::max(),       0.0,                -0.0,
+      1.0,               Lim::epsilon()};
+  for (double x : {0.1, 1.0 / 3.0, M_PI, 1e-300, 123456.789, 2.5e-320,
+                   9007199254740993.0, 1e308}) {
+    values.push_back(x);
+    values.push_back(std::nextafter(x, Lim::infinity()));
+    values.push_back(std::nextafter(x, -Lim::infinity()));
+    values.push_back(-std::nextafter(x, Lim::infinity()));
+  }
+  autodiff::Parameter saved(Matrix(1, values.size()));
+  std::memcpy(saved.value.data(), values.data(),
+              values.size() * sizeof(double));
+  const std::string path = TmpPath("text_edges");
+  ASSERT_TRUE(SaveParameters(path, "edges", {&saved}).ok());
+  autodiff::Parameter loaded(Matrix(1, values.size(), kSentinel));
+  ASSERT_TRUE(LoadParameters(path, "edges", {&loaded}).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(std::memcmp(loaded.value.data(), values.data(),
+                        values.size() * sizeof(double)),
+            0);
+}
+
+// The parser against `std::istringstream >> double` (the reader it
+// replaced, kept here as the oracle) on 100k doubles printed at precision
+// 17: half uniform random bit patterns, which reach every exponent
+// including subnormals, half Gaussian values at mixed scales.
+TEST(CkptTextRoundTrip, ParserMatchesIstreamOracle) {
+  constexpr size_t kRows = 100;
+  constexpr size_t kCols = 1000;
+  Rng rng(0x7E57u);
+  autodiff::Parameter saved(Matrix(kRows, kCols));
+  for (size_t i = 0; i < saved.size(); ++i) {
+    double v = 0.0;
+    if (i % 2 == 0) {
+      do {
+        const uint64_t bits = rng.NextUint64();
+        std::memcpy(&v, &bits, sizeof(v));
+      } while (!std::isfinite(v));
+    } else {
+      v = rng.Normal() * std::pow(10.0, rng.Uniform(-12.0, 12.0));
+    }
+    saved.value[i] = v;
+  }
+  const std::string path = TmpPath("text_oracle");
+  ASSERT_TRUE(SaveParameters(path, "oracle", {&saved}).ok());
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  const Result<ParsedTextCheckpoint> parsed = ReadTextCheckpoint(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->tensors.size(), 1u);
+  const Matrix& got = parsed->tensors[0];
+  ASSERT_EQ(got.size(), kRows * kCols);
+
+  std::istringstream oracle(std::string(bytes.begin(), bytes.end()));
+  std::string line;
+  size_t count = 0;
+  size_t rows = 0;
+  size_t cols = 0;
+  ASSERT_TRUE(std::getline(oracle, line) && std::getline(oracle, line));
+  ASSERT_TRUE(oracle >> count >> rows >> cols);
+  for (size_t i = 0; i < got.size(); ++i) {
+    double want = 0.0;
+    ASSERT_TRUE(oracle >> want) << i;
+    ASSERT_EQ(Bits(got[i]), Bits(want)) << "value " << i;
+    ASSERT_EQ(Bits(got[i]), Bits(saved.value[i])) << "value " << i;
+  }
+}
+
+/// The parameters pinned by tests/data/golden_text.ckpt: a reference matrix
+/// and a row of edge values.
+std::vector<autodiff::Parameter> GoldenTextParams() {
+  using Lim = std::numeric_limits<double>;
+  std::vector<autodiff::Parameter> params;
+  params.emplace_back(RefMatrix(3, 5));
+  params.emplace_back(Matrix{{Lim::denorm_min(), Lim::min(), Lim::max(),
+                              -0.0, 0.1, 1.0 / 3.0, -M_PI, 1e-300}});
+  return params;
+}
+
+// Pins the writer's bytes and the loader's bits. Regenerate with
+// RPAS_REGEN_GOLDEN=1 only for a deliberate format change.
+TEST(CkptTextGolden, GoldenFileRoundTripsByteIdentical) {
+  const std::string golden_path =
+      StrFormat("%s/golden_text.ckpt", RPAS_TEST_DATA_DIR);
+  std::vector<autodiff::Parameter> params = GoldenTextParams();
+  std::vector<autodiff::Parameter*> ptrs;
+  for (autodiff::Parameter& p : params) {
+    ptrs.push_back(&p);
+  }
+  if (std::getenv("RPAS_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(SaveParameters(golden_path, "golden text v1", ptrs).ok());
+  }
+  const std::string fresh = TmpPath("text_golden");
+  ASSERT_TRUE(SaveParameters(fresh, "golden text v1", ptrs).ok());
+  EXPECT_EQ(ReadFileBytes(fresh), ReadFileBytes(golden_path))
+      << "SaveParameters output drifted from the committed golden file";
+  std::remove(fresh.c_str());
+
+  std::vector<autodiff::Parameter> loaded;
+  std::vector<autodiff::Parameter*> loaded_ptrs;
+  for (const autodiff::Parameter& p : params) {
+    loaded.emplace_back(Matrix(p.value.rows(), p.value.cols(), kSentinel));
+  }
+  for (autodiff::Parameter& p : loaded) {
+    loaded_ptrs.push_back(&p);
+  }
+  ASSERT_TRUE(LoadParameters(golden_path, "golden text v1", loaded_ptrs).ok());
+  for (size_t t = 0; t < params.size(); ++t) {
+    EXPECT_EQ(std::memcmp(loaded[t].value.data(), params[t].value.data(),
+                          params[t].size() * sizeof(double)),
+              0)
+        << "tensor " << t;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "common/csv.h"
@@ -134,6 +135,27 @@ TEST(StringsTest, ParseDoubleInvalid) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.2x").ok());
+}
+
+TEST(StringsTest, ParseDoubleAcceptsSubnormals) {
+  // strtod sets ERANGE on these although each parses to its correctly
+  // rounded subnormal value.
+  const Result<double> min_subnormal = ParseDouble("4.9406564584124654e-324");
+  ASSERT_TRUE(min_subnormal.ok()) << min_subnormal.status().ToString();
+  EXPECT_EQ(*min_subnormal, std::numeric_limits<double>::denorm_min());
+  const Result<double> max_subnormal = ParseDouble("2.2250738585072009e-308");
+  ASSERT_TRUE(max_subnormal.ok()) << max_subnormal.status().ToString();
+  EXPECT_EQ(*max_subnormal, std::numeric_limits<double>::min() -
+                                std::numeric_limits<double>::denorm_min());
+  const Result<double> small = ParseDouble("-1e-310");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_LT(*small, 0.0);
+  EXPECT_GT(*small, -std::numeric_limits<double>::min());
+}
+
+TEST(StringsTest, ParseDoubleRejectsOverflow) {
+  EXPECT_FALSE(ParseDouble("1e400").ok());
+  EXPECT_FALSE(ParseDouble("-1e400").ok());
 }
 
 TEST(StringsTest, ParseInt64Valid) {

@@ -16,7 +16,6 @@
 #include "forecast/mlp.h"
 #include "forecast/seasonal_naive.h"
 #include "forecast/tft.h"
-#include "nn/checkpoint.h"
 #include "obs/metrics.h"
 #include "trace/generator.h"
 #include "ts/metrics.h"
@@ -146,55 +145,6 @@ class CheckpointTest : public ::testing::Test {
   std::string path() const { return path_.string(); }
   std::filesystem::path path_;
 };
-
-TEST_F(CheckpointTest, RawRoundTrip) {
-  Rng rng(7);
-  autodiff::Parameter a(tensor::Matrix(3, 4));
-  autodiff::Parameter b(tensor::Matrix(1, 2));
-  for (size_t i = 0; i < a.value.size(); ++i) {
-    a.value[i] = rng.Normal();
-  }
-  b.value(0, 0) = 1.5;
-  b.value(0, 1) = -2.25;
-  ASSERT_TRUE(nn::SaveParameters(path(), "sig", {&a, &b}).ok());
-
-  autodiff::Parameter a2(tensor::Matrix(3, 4));
-  autodiff::Parameter b2(tensor::Matrix(1, 2));
-  ASSERT_TRUE(nn::LoadParameters(path(), "sig", {&a2, &b2}).ok());
-  for (size_t i = 0; i < a.value.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a2.value[i], a.value[i]);
-  }
-  EXPECT_DOUBLE_EQ(b2.value(0, 1), -2.25);
-}
-
-TEST_F(CheckpointTest, SignatureMismatchRejected) {
-  autodiff::Parameter a(tensor::Matrix(1, 1));
-  ASSERT_TRUE(nn::SaveParameters(path(), "model-v1", {&a}).ok());
-  EXPECT_EQ(nn::LoadParameters(path(), "model-v2", {&a}).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(CheckpointTest, ShapeMismatchRejected) {
-  autodiff::Parameter a(tensor::Matrix(2, 2));
-  ASSERT_TRUE(nn::SaveParameters(path(), "sig", {&a}).ok());
-  autodiff::Parameter wrong(tensor::Matrix(2, 3));
-  EXPECT_EQ(nn::LoadParameters(path(), "sig", {&wrong}).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(CheckpointTest, CountMismatchRejected) {
-  autodiff::Parameter a(tensor::Matrix(1, 1));
-  ASSERT_TRUE(nn::SaveParameters(path(), "sig", {&a}).ok());
-  autodiff::Parameter b(tensor::Matrix(1, 1));
-  EXPECT_EQ(nn::LoadParameters(path(), "sig", {&a, &b}).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(CheckpointTest, MissingFileIsIoError) {
-  autodiff::Parameter a(tensor::Matrix(1, 1));
-  EXPECT_EQ(nn::LoadParameters("/nonexistent/ckpt", "sig", {&a}).code(),
-            StatusCode::kIoError);
-}
 
 TEST_F(CheckpointTest, TftSaveLoadPreservesPredictions) {
   ts::TimeSeries s = SineSeries(3 * kDay, 0.3, 8);

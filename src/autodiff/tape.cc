@@ -486,10 +486,14 @@ Var Tape::Softplus(Var a) {
         const Matrix& x = t->ValueOf(ai);
         Matrix* ga = t->Scratch(g.rows(), g.cols());
         for (size_t i = 0; i < g.size(); ++i) {
-          // d softplus / dx = sigmoid(x)
-          double s = x[i] >= 0.0
-                         ? 1.0 / (1.0 + std::exp(-x[i]))
-                         : std::exp(x[i]) / (1.0 + std::exp(x[i]));
+          // d softplus / dx = sigmoid(x), sign-split for stability.
+          double s;
+          if (x[i] >= 0.0) {
+            s = 1.0 / (1.0 + std::exp(-x[i]));
+          } else {
+            const double e = std::exp(x[i]);
+            s = e / (1.0 + e);
+          }
           (*ga)[i] = g[i] * s;
         }
         t->AccumulateGrad(ai, *ga);

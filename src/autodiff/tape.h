@@ -165,15 +165,15 @@ class Tape {
 
   /// Generic custom op: `value` is the forward result, `backward` receives
   /// the output gradient and must accumulate into the inputs' grads via
-  /// AccumulateGrad(). Used for fused losses with analytic gradients
-  /// (e.g., Student-t NLL).
+  /// AccumulateGrad() or GradFor(). Used for fused ops with analytic
+  /// gradients (e.g., nn::LayerNorm).
   Var Custom(const std::vector<Var>& inputs, Matrix value,
              std::function<void(const Matrix& grad_out, Tape* tape)> backward);
 
   /// Low-level fused-op hook: creates a node with an arena-allocated
   /// rows x cols value, returned via `value_out` for the caller to fill
   /// before any downstream node consumes it. Used by nn::LstmCell's fused
-  /// step.
+  /// step and the fused NLL losses.
   Var AllocNode(size_t rows, size_t cols, bool requires_grad,
                 std::function<void(const Matrix& grad_out, Tape* tape)>
                     backward,
@@ -196,6 +196,13 @@ class Tape {
 
   /// Adds `g` into node `id`'s gradient (for custom ops).
   void AccumulateGrad(size_t id, const Matrix& g);
+
+  /// Node `id`'s gradient for in-place accumulation by fused backward
+  /// passes (which must reproduce the rounding of the ops they replace);
+  /// nullptr when gradients don't flow to it.
+  Matrix* GradFor(size_t id) {
+    return nodes_[id].requires_grad ? nodes_[id].grad : nullptr;
+  }
 
   /// Number of nodes currently on the tape.
   size_t NumNodes() const { return num_nodes_; }
@@ -222,11 +229,6 @@ class Tape {
   /// NewNode + arena value and grad of the given shape.
   size_t NewArenaNode(size_t rows, size_t cols, bool requires_grad,
                       std::function<void(const Matrix&, Tape*)> backward);
-  /// Node grad for in-place accumulation; nullptr when grads don't flow.
-  Matrix* GradFor(size_t id) {
-    return nodes_[id].requires_grad ? nodes_[id].grad : nullptr;
-  }
-
   std::vector<Node> nodes_;
   size_t num_nodes_ = 0;  // live prefix of nodes_; slots recycle on Reset()
   MatrixArena arena_;

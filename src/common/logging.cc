@@ -58,5 +58,9 @@ FatalLogMessage::~FatalLogMessage() {
   std::abort();
 }
 
+void CheckFailed(const char* file, int line, const char* condition) {
+  FatalLogMessage(file, line, condition);
+}
+
 }  // namespace internal
 }  // namespace rpas

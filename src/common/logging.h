@@ -49,6 +49,11 @@ class FatalLogMessage {
   std::ostringstream stream_;
 };
 
+/// Failure path of RPAS_HOT_CHECK: prints like a failed RPAS_CHECK and
+/// aborts.
+[[noreturn]] [[gnu::cold]] void CheckFailed(const char* file, int line,
+                                            const char* condition);
+
 /// Swallows a streamed expression when a check passes; enables the
 /// `RPAS_CHECK(x) << "msg"` syntax with zero cost on the success path.
 struct NullStream {
@@ -80,5 +85,15 @@ struct NullStream {
         .stream()
 
 #define RPAS_DCHECK(condition) RPAS_CHECK(condition)
+
+/// RPAS_CHECK for the hottest inline accessors (Matrix element access): the
+/// same always-on abort, but the failure path is one out-of-line call, so
+/// the inlined success path is a compare and a branch. RPAS_CHECK's inline
+/// FatalLogMessage made GCC leave those accessors as calls inside hot
+/// loops. Takes no streamed message.
+#define RPAS_HOT_CHECK(condition)                                      \
+  (__builtin_expect(static_cast<bool>(condition), 1)                   \
+       ? static_cast<void>(0)                                          \
+       : ::rpas::internal::CheckFailed(__FILE__, __LINE__, #condition))
 
 #endif  // RPAS_COMMON_LOGGING_H_

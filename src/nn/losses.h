@@ -17,14 +17,18 @@ Var MseLoss(Tape* tape, Var pred, Var target);
 /// Gaussian negative log-likelihood, averaged over elements.
 /// `mu` and `sigma` have the same shape as `target`; sigma must already be
 /// positive (apply Softplus upstream). (Paper §III-B: NLL "enables direct
-/// computation of the likelihood of a given point".)
+/// computation of the likelihood of a given point".) One fused tape node,
+/// bit-identical in value and gradients to the elementwise composition
+/// 0.5*log(2*pi) + log(sigma) + z^2/2, z = (target-mu)/sigma (see
+/// losses.cc).
 Var GaussianNllLoss(Tape* tape, Var mu, Var sigma, Var target);
 
 /// Location-scale Student-t negative log-likelihood with fixed degrees of
 /// freedom `dof`, averaged over elements. The paper selects Student-t for
 /// the DeepAR head because its heavier tails absorb workload outliers.
-/// Built from tape primitives: NLL = const(dof) + log(sigma)
-///   + (dof+1)/2 * log(1 + z^2/dof), z = (target-mu)/sigma.
+/// One fused tape node, bit-identical to the elementwise composition
+/// NLL = const(dof) + log(sigma) + (dof+1)/2 * log(1 + z^2/dof),
+/// z = (target-mu)/sigma.
 Var StudentTNllLoss(Tape* tape, Var mu, Var sigma, Var target, double dof);
 
 /// Joint pinball loss over a pre-specified quantile grid (paper Eq. 1-2).

@@ -3,18 +3,26 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace rpas::nn {
 
-double ClipGradNorm(const std::vector<Parameter*>& params, double max_norm) {
-  RPAS_CHECK(max_norm > 0.0);
+namespace kernels = ::rpas::tensor::kernels;
+
+double GradNorm(const std::vector<Parameter*>& params) {
   double sq = 0.0;
   for (Parameter* p : params) {
+    const double* g = p->grad.data();
     for (size_t i = 0; i < p->grad.size(); ++i) {
-      sq += p->grad[i] * p->grad[i];
+      sq += g[i] * g[i];
     }
   }
-  const double norm = std::sqrt(sq);
+  return std::sqrt(sq);
+}
+
+double ClipGradNorm(const std::vector<Parameter*>& params, double max_norm) {
+  RPAS_CHECK(max_norm > 0.0);
+  const double norm = GradNorm(params);
   if (norm > max_norm) {
     const double scale = max_norm / norm;
     for (Parameter* p : params) {
@@ -30,31 +38,30 @@ Adam::Adam() : Adam(Options()) {}
 
 Adam::Adam(Options options) : options_(options) {}
 
-void Adam::Step(const std::vector<Parameter*>& params) {
+void Adam::Step(const std::vector<Parameter*>& params, double grad_scale) {
   ++t_;
-  const double bc1 = 1.0 - std::pow(options_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
+  kernels::AdamStep step;
+  step.lr = options_.lr;
+  step.beta1 = options_.beta1;
+  step.beta2 = options_.beta2;
+  step.epsilon = options_.epsilon;
+  step.weight_decay = options_.weight_decay;
+  step.bias_correction1 =
+      1.0 - std::pow(options_.beta1, static_cast<double>(t_));
+  step.bias_correction2 =
+      1.0 - std::pow(options_.beta2, static_cast<double>(t_));
+  step.grad_scale = grad_scale;
+  const kernels::SimdLevel level = kernels::ActiveLevel();
   for (Parameter* p : params) {
     auto [it, inserted] = moments_.try_emplace(p);
     if (inserted) {
       it->second.m = Matrix(p->value.rows(), p->value.cols());
       it->second.v = Matrix(p->value.rows(), p->value.cols());
     }
-    Matrix& m = it->second.m;
-    Matrix& v = it->second.v;
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      double g = p->grad[i];
-      if (options_.weight_decay != 0.0) {
-        g += options_.weight_decay * p->value[i];
-      }
-      m[i] = options_.beta1 * m[i] + (1.0 - options_.beta1) * g;
-      v[i] = options_.beta2 * v[i] + (1.0 - options_.beta2) * g * g;
-      const double m_hat = m[i] / bc1;
-      const double v_hat = v[i] / bc2;
-      p->value[i] -=
-          options_.lr * m_hat / (std::sqrt(v_hat) + options_.epsilon);
-    }
-    p->ZeroGrad();
+    RPAS_DCHECK(p->grad.size() == p->value.size());
+    kernels::AdamUpdate(level, p->value.size(), step, p->value.data(),
+                        p->grad.data(), it->second.m.data(),
+                        it->second.v.data());
   }
 }
 

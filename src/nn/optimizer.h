@@ -11,6 +11,10 @@ namespace rpas::nn {
 using autodiff::Parameter;
 using tensor::Matrix;
 
+/// Global L2 norm of the given parameter gradients, summed sequentially
+/// in parameter then element order (the order defines the rounding).
+double GradNorm(const std::vector<Parameter*>& params);
+
 /// Clips the global L2 norm of the given parameter gradients to
 /// `max_norm` (> 0); returns the pre-clip norm.
 double ClipGradNorm(const std::vector<Parameter*>& params, double max_norm);
@@ -32,7 +36,12 @@ class Adam {
 
   /// Applies one update using each parameter's current `grad`, then zeroes
   /// the gradients.
-  void Step(const std::vector<Parameter*>& params);
+  void Step(const std::vector<Parameter*>& params) { Step(params, 1.0); }
+
+  /// Same, with every gradient multiplied by `grad_scale` first — the
+  /// global-norm clip factor, applied in the same pass as the update (one
+  /// kernels::AdamUpdate call per parameter).
+  void Step(const std::vector<Parameter*>& params, double grad_scale);
 
   /// Learning-rate accessor (for schedules).
   double lr() const { return options_.lr; }

@@ -258,10 +258,10 @@ Status QuantizeCheckpointFile(const std::string& in_path,
   return WriteQuantizedCheckpoint(out_path, parsed.signature, specs);
 }
 
-bool IsQuantizedCheckpointFile(const std::string& path) {
+Result<bool> IsQuantizedCheckpointFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    return false;
+    return Status::IoError("cannot open checkpoint '" + path + "'");
   }
   uint8_t magic[sizeof(kQckptMagic)] = {};
   in.read(reinterpret_cast<char*>(magic), sizeof(magic));

@@ -78,8 +78,10 @@ Status QuantizeCheckpointFile(const std::string& in_path,
                               tensor::DType target);
 
 /// True when the file at `path` starts with the rpasq magic (cheap sniff
-/// used by serve::ModelRegistry to pick the mmap load path).
-bool IsQuantizedCheckpointFile(const std::string& path);
+/// used by serve::ModelRegistry to pick the mmap load path). IoError when
+/// the file cannot be opened, so a checkpoint that is briefly absent during
+/// an atomic replacement is never routed to the text parser.
+Result<bool> IsQuantizedCheckpointFile(const std::string& path);
 
 /// A named tensor inside a mapped checkpoint.
 struct QTensor {

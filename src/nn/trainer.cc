@@ -1,5 +1,6 @@
 #include "nn/trainer.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -11,6 +12,7 @@ TrainSummary TrainLoop(
     const TrainConfig& config, const std::vector<Parameter*>& params,
     const std::function<autodiff::Var(autodiff::Tape*, Rng*)>& loss_fn) {
   RPAS_CHECK(config.steps > 0);
+  RPAS_CHECK(config.clip_norm > 0.0);
   Rng rng(config.seed);
   Adam optimizer(Adam::Options{.lr = config.lr});
 
@@ -19,6 +21,8 @@ TrainSummary TrainLoop(
   obs::MetricsRegistry* metrics = obs::ResolveRegistry(config.metrics);
   obs::Counter* steps_counter = metrics->GetCounter("nn.train.steps");
   obs::Counter* clip_counter = metrics->GetCounter("nn.train.clip_events");
+  obs::Counter* nonfinite_counter =
+      metrics->GetCounter("nn.train.nonfinite_steps");
   obs::Histogram* loss_hist = metrics->GetHistogram("nn.train.loss");
   obs::Histogram* grad_hist = metrics->GetHistogram("nn.train.grad_norm");
   obs::Span span("nn.train", config.steps);
@@ -40,13 +44,26 @@ TrainSummary TrainLoop(
     autodiff::Var loss = loss_fn(&tape, &rng);
     const double loss_value = loss.value()(0, 0);
     tape.Backward(loss);
-    const double grad_norm = ClipGradNorm(params, config.clip_norm);
-    optimizer.Step(params);
+    // ClipGradNorm's sequential norm, then one fused clip + Adam + zero-grad
+    // pass per parameter. A non-finite loss or norm (bad telemetry in the
+    // minibatch) would write NaN into the weights — and `NaN > clip_norm`
+    // is false, so clipping cannot catch it — so such a step is skipped.
+    const double grad_norm = GradNorm(params);
+    const bool finite = std::isfinite(loss_value) && std::isfinite(grad_norm);
+    const bool clipped = finite && grad_norm > config.clip_norm;
+    if (finite) {
+      optimizer.Step(params, clipped ? config.clip_norm / grad_norm : 1.0);
+    } else {
+      for (Parameter* p : params) {
+        p->ZeroGrad();
+      }
+      ++summary.nonfinite_steps;
+      nonfinite_counter->Increment();
+    }
 
     summary.final_loss = loss_value;
     summary.best_loss = std::min(summary.best_loss, loss_value);
     summary.final_grad_norm = grad_norm;
-    const bool clipped = grad_norm > config.clip_norm;
     if (clipped) {
       ++summary.clip_events;
     }
@@ -60,8 +77,10 @@ TrainSummary TrainLoop(
     summary.arena_allocs_final = tape.ArenaStats().heap_allocs;
 
     steps_counter->Increment();
-    loss_hist->Observe(loss_value);
-    grad_hist->Observe(grad_norm);
+    if (finite) {
+      loss_hist->Observe(loss_value);
+      grad_hist->Observe(grad_norm);
+    }
     if (clipped) {
       clip_counter->Increment();
     }

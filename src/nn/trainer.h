@@ -37,6 +37,10 @@ struct TrainSummary {
   double final_grad_norm = 0.0;
   /// Steps whose gradient norm exceeded clip_norm and was rescaled.
   int clip_events = 0;
+  /// Steps skipped because the loss or the gradient norm was non-finite
+  /// (NaN/inf in the minibatch): no parameter or optimizer state changed,
+  /// and the gradients were zeroed.
+  int nonfinite_steps = 0;
   /// Per-step losses; filled only when TrainConfig::record_loss is set.
   std::vector<double> loss_history;
   /// Tape-arena heap allocations after the first step (warmup) and at the
@@ -48,7 +52,9 @@ struct TrainSummary {
 
 /// Generic define-by-run training loop: at each step builds a fresh tape via
 /// `loss_fn` (which samples its own minibatch from `rng`), backpropagates,
-/// clips, and applies Adam. Returns the loss trajectory summary.
+/// clips, and applies Adam. A step whose loss or gradient norm is not
+/// finite is skipped and counted in TrainSummary::nonfinite_steps. Returns
+/// the loss trajectory summary.
 ///
 /// `loss_fn` must return a 1x1 loss Var on the provided tape.
 TrainSummary TrainLoop(

@@ -226,21 +226,18 @@ Status ModelRegistry::LoadVersion(
   // and byte accounting only when every step has succeeded — any failure
   // leaves the registry unchanged.
   //
-  // Probe before sniffing the format: IsQuantizedCheckpointFile() returns
-  // false for a file it cannot open, and routing a *missing* file to the
-  // text parser turns "checkpoint temporarily absent" (a retryable
-  // IoError — it happens while a checkpoint is being atomically replaced)
-  // into a misleading parse error once the file reappears in the other
-  // format.
-  if (!std::ifstream(info->path, std::ios::binary).is_open()) {
-    return Status::IoError(
-        StrFormat("%s: cannot open checkpoint '%s'", id.ToString().c_str(),
-                  info->path.c_str()));
+  // The format sniff fails with IoError when the file is absent (it is
+  // mid-replacement), rather than reporting "not quantized" and routing a
+  // file that reappears in the other format to the wrong parser.
+  Result<bool> quantized = nn::IsQuantizedCheckpointFile(info->path);
+  if (!quantized.ok()) {
+    return Status::IoError(StrFormat("%s: %s", id.ToString().c_str(),
+                                     quantized.status().message().c_str()));
   }
   size_t bytes = 0;
   size_t mapped = 0;
   size_t heap = 0;
-  if (nn::IsQuantizedCheckpointFile(info->path)) {
+  if (*quantized) {
     RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const nn::QuantizedCheckpoint> ckpt,
                           nn::QuantizedCheckpoint::Map(info->path));
     bytes = ckpt->file_bytes();

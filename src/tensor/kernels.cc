@@ -287,6 +287,24 @@ void LstmCellBackwardScalar(size_t batch, size_t hidden, const double* act,
   }
 }
 
+// The pre-kernel Adam::Step loop, expression for expression, with the clip
+// scale and gradient zeroing folded in.
+void AdamUpdateScalar(size_t n, const AdamStep& s, double* value,
+                      double* grad, double* m, double* v) {
+  for (size_t i = 0; i < n; ++i) {
+    double g = grad[i] * s.grad_scale;
+    if (s.weight_decay != 0.0) {
+      g += s.weight_decay * value[i];
+    }
+    m[i] = s.beta1 * m[i] + (1.0 - s.beta1) * g;
+    v[i] = s.beta2 * v[i] + (1.0 - s.beta2) * g * g;
+    const double m_hat = m[i] / s.bias_correction1;
+    const double v_hat = v[i] / s.bias_correction2;
+    value[i] -= s.lr * m_hat / (std::sqrt(v_hat) + s.epsilon);
+    grad[i] = 0.0;
+  }
+}
+
 // Cost model for the parallel drivers. Forking the shared pool costs on the
 // order of microseconds, so products below the flop threshold run as one
 // chunk on the calling thread (ParallelFor's serial path) — the tiny GEMMs
@@ -862,6 +880,20 @@ void EwRelu(SimdLevel level, size_t n, const double* x, double* out) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = x[i] > 0.0 ? x[i] : 0.0;
   }
+}
+
+void AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
+                double* value, double* grad, double* m, double* v) {
+#if RPAS_KERNELS_HAVE_AVX2
+  if (level == SimdLevel::kAvx2) {
+    avx2::AdamUpdate(n, step, value, grad, m, v);
+    return;
+  }
+#endif
+  // SSE2 routes here: the update is div/sqrt-bound and the scalar loop is
+  // the bit-identity reference.
+  (void)level;
+  AdamUpdateScalar(n, step, value, grad, m, v);
 }
 
 void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,

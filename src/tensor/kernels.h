@@ -237,6 +237,36 @@ void EwSoftplus(SimdLevel level, size_t n, const double* x, double* out);
 void EwRelu(SimdLevel level, size_t n, const double* x, double* out);
 
 // ---------------------------------------------------------------------------
+// Fused optimizer step.
+// ---------------------------------------------------------------------------
+
+/// Per-step Adam constants shared by every parameter tensor of one step.
+struct AdamStep {
+  double lr = 1e-3;
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double epsilon = 1e-8;
+  double weight_decay = 0.0;
+  double bias_correction1 = 1.0;  ///< 1 - beta1^t
+  double bias_correction2 = 1.0;  ///< 1 - beta2^t
+  double grad_scale = 1.0;        ///< global-norm clip factor (1 = unclipped)
+};
+
+/// One Adam update over n parameters, fused with the gradient-clip scale
+/// and gradient zeroing. For each i:
+///   g = grad[i] * grad_scale, plus weight_decay * value[i] when nonzero
+///   m[i] = beta1 * m[i] + (1 - beta1) * g
+///   v[i] = beta2 * v[i] + (1 - beta2) * g * g
+///   value[i] -= lr * (m[i] / bc1) / (sqrt(v[i] / bc2) + epsilon)
+///   grad[i] = 0
+/// Every level evaluates exactly these expressions with separately rounded
+/// mul, add, div and sqrt (no FMA). IEEE div and sqrt are correctly rounded
+/// per lane, so the AVX2 body is bit-identical to the scalar reference, and
+/// the scale multiply is exact when grad_scale == 1.
+void AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
+                double* value, double* grad, double* m, double* v);
+
+// ---------------------------------------------------------------------------
 // Fused LSTM cell step (batch-major, gate order i, f, g, o — matching
 // nn::LstmCell's fused 4H weight layout).
 // ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@
 // Accuracy contract: GEMM variants use FMA with the same ascending-p
 // per-element accumulation order as the scalar reference (parity bounded by
 // the condition-aware ULP tests). exp/tanh/sigmoid are Cephes-style
-// polynomial evaluations within a few ULP of libm. The LSTM backward uses
-// only mul/add/sub in the scalar expression shapes and is bit-identical to
-// the scalar level.
+// polynomial evaluations within a few ULP of libm. The LSTM backward and the
+// Adam update use only mul/add/sub/div/sqrt in the scalar expression shapes
+// and are bit-identical to the scalar level.
 
 #include "tensor/kernels_internal.h"
 
@@ -72,16 +72,18 @@ RPAS_AVX2_FN inline __m256d Exp4(__m256d x) {
   return _mm256_mul_pd(e, _mm256_castsi256_pd(bits));
 }
 
-RPAS_AVX2_FN inline __m256d Tanh4(__m256d x) {
+// |x| >= 0.625: 1 - 2/(exp(2|x|) + 1), with the input's sign restored.
+RPAS_AVX2_FN inline __m256d TanhBig4(__m256d x, __m256d ax) {
   const __m256d sign_bit = _mm256_set1_pd(-0.0);
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d ax = _mm256_andnot_pd(sign_bit, x);
-  // |x| >= 0.625: 1 - 2/(exp(2|x|) + 1), with the input's sign restored.
   const __m256d e2 = Exp4(_mm256_add_pd(ax, ax));
-  __m256d big = _mm256_sub_pd(
+  const __m256d big = _mm256_sub_pd(
       one, _mm256_div_pd(_mm256_set1_pd(2.0), _mm256_add_pd(e2, one)));
-  big = _mm256_or_pd(big, _mm256_and_pd(sign_bit, x));
-  // |x| < 0.625: x + x*z*P(z)/Q1(z), z = x^2 (Cephes tanh rational).
+  return _mm256_or_pd(big, _mm256_and_pd(sign_bit, x));
+}
+
+// |x| < 0.625: x + x*z*P(z)/Q1(z), z = x^2 (Cephes tanh rational).
+RPAS_AVX2_FN inline __m256d TanhSmall4(__m256d x) {
   const __m256d z = _mm256_mul_pd(x, x);
   __m256d p = _mm256_set1_pd(-9.64399179425052238628e-1);
   p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(-9.92877231001918586564e1));
@@ -89,28 +91,40 @@ RPAS_AVX2_FN inline __m256d Tanh4(__m256d x) {
   __m256d q = _mm256_add_pd(z, _mm256_set1_pd(1.12811678491632931402e2));
   q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.23548839060100448583e3));
   q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(4.84406305325125486048e3));
-  const __m256d small = _mm256_add_pd(
+  return _mm256_add_pd(
       x, _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(x, z), p), q));
+}
+
+// Each lane takes one of the two branches; a branch no lane selects is not
+// evaluated, which changes no lane's result.
+RPAS_AVX2_FN inline __m256d Tanh4(__m256d x) {
+  const __m256d ax = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
   // NaN compares unordered/false, so NaN lanes take the `small` path and
   // propagate through z = x*x.
   const __m256d use_big =
       _mm256_cmp_pd(ax, _mm256_set1_pd(0.625), _CMP_GE_OQ);
-  return _mm256_blendv_pd(small, big, use_big);
+  const int big_lanes = _mm256_movemask_pd(use_big);
+  if (big_lanes == 0) {
+    return TanhSmall4(x);
+  }
+  if (big_lanes == 0xF) {
+    return TanhBig4(x, ax);
+  }
+  return _mm256_blendv_pd(TanhSmall4(x), TanhBig4(x, ax), use_big);
 }
 
 // Same sign-split form as the scalar reference: e = exp(-|x|), then
-// 1/(1+e) for x >= 0 and e/(1+e) otherwise.
+// 1/(1+e) for x >= 0 and e/(1+e) otherwise — one division of the blended
+// numerator, which rounds exactly like either quotient.
 RPAS_AVX2_FN inline __m256d Sigmoid4(__m256d x) {
   const __m256d sign_bit = _mm256_set1_pd(-0.0);
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d ax = _mm256_andnot_pd(sign_bit, x);
   const __m256d e = Exp4(_mm256_or_pd(ax, sign_bit));
-  const __m256d denom = _mm256_add_pd(one, e);
-  const __m256d pos = _mm256_div_pd(one, denom);
-  const __m256d neg = _mm256_div_pd(e, denom);
   const __m256d nonneg =
       _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
-  __m256d res = _mm256_blendv_pd(neg, pos, nonneg);
+  const __m256d res =
+      _mm256_div_pd(_mm256_blendv_pd(e, one, nonneg), _mm256_add_pd(one, e));
   // Exp4's range clamp eats NaN; restore propagation.
   const __m256d unord = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
   return _mm256_blendv_pd(res, x, unord);
@@ -417,6 +431,65 @@ RPAS_AVX2_FN void EwSigmoid(size_t n, const double* x, double* out) {
   if (i < n) {
     const __m256i m = TailMask(n - i);
     _mm256_maskstore_pd(out + i, m, Sigmoid4(_mm256_maskload_pd(x + i, m)));
+  }
+}
+
+RPAS_AVX2_FN void AdamUpdate(size_t n, const AdamStep& step, double* value,
+                             double* grad, double* m, double* v) {
+  const __m256d scale = _mm256_set1_pd(step.grad_scale);
+  const __m256d decay = _mm256_set1_pd(step.weight_decay);
+  const bool use_decay = step.weight_decay != 0.0;
+  const __m256d beta1 = _mm256_set1_pd(step.beta1);
+  const __m256d beta2 = _mm256_set1_pd(step.beta2);
+  const __m256d one_minus_beta1 = _mm256_set1_pd(1.0 - step.beta1);
+  const __m256d one_minus_beta2 = _mm256_set1_pd(1.0 - step.beta2);
+  const __m256d bc1 = _mm256_set1_pd(step.bias_correction1);
+  const __m256d bc2 = _mm256_set1_pd(step.bias_correction2);
+  const __m256d lr = _mm256_set1_pd(step.lr);
+  const __m256d eps = _mm256_set1_pd(step.epsilon);
+  const __m256d zero = _mm256_setzero_pd();
+  for (size_t i = 0; i < n; i += 4) {
+    const size_t live = std::min<size_t>(4, n - i);
+    const bool full = live == 4;
+    const __m256i mask = TailMask(live);
+    __m256d pv, gv, mv, vv;
+    if (full) {
+      pv = _mm256_loadu_pd(value + i);
+      gv = _mm256_loadu_pd(grad + i);
+      mv = _mm256_loadu_pd(m + i);
+      vv = _mm256_loadu_pd(v + i);
+    } else {
+      pv = _mm256_maskload_pd(value + i, mask);
+      gv = _mm256_maskload_pd(grad + i, mask);
+      mv = _mm256_maskload_pd(m + i, mask);
+      vv = _mm256_maskload_pd(v + i, mask);
+    }
+    // The scalar reference's expression shapes, one rounding per operation.
+    __m256d g = _mm256_mul_pd(gv, scale);
+    if (use_decay) {
+      g = _mm256_add_pd(g, _mm256_mul_pd(decay, pv));
+    }
+    mv = _mm256_add_pd(_mm256_mul_pd(beta1, mv),
+                       _mm256_mul_pd(one_minus_beta1, g));
+    vv = _mm256_add_pd(_mm256_mul_pd(beta2, vv),
+                       _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g));
+    const __m256d m_hat = _mm256_div_pd(mv, bc1);
+    const __m256d v_hat = _mm256_div_pd(vv, bc2);
+    const __m256d update =
+        _mm256_div_pd(_mm256_mul_pd(lr, m_hat),
+                      _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
+    pv = _mm256_sub_pd(pv, update);
+    if (full) {
+      _mm256_storeu_pd(value + i, pv);
+      _mm256_storeu_pd(grad + i, zero);
+      _mm256_storeu_pd(m + i, mv);
+      _mm256_storeu_pd(v + i, vv);
+    } else {
+      _mm256_maskstore_pd(value + i, mask, pv);
+      _mm256_maskstore_pd(grad + i, mask, zero);
+      _mm256_maskstore_pd(m + i, mask, mv);
+      _mm256_maskstore_pd(v + i, mask, vv);
+    }
   }
 }
 

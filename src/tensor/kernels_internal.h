@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/kernels.h"
+
 // The AVX2 translation unit uses GCC/Clang `__attribute__((target))` function
 // multiversioning so the rest of the build keeps the portable baseline flags.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -37,6 +39,8 @@ double Dot(size_t n, const double* x, const double* y);
 double Sum(size_t n, const double* x);
 void EwTanh(size_t n, const double* x, double* out);
 void EwSigmoid(size_t n, const double* x, double* out);
+void AdamUpdate(size_t n, const AdamStep& step, double* value, double* grad,
+                double* m, double* v);
 void LstmCellForward(size_t batch, size_t hidden, double* gates,
                      const double* c_prev, size_t ldcp, double* h_out,
                      size_t ldh, double* c_out, size_t ldc, double* tanh_c);

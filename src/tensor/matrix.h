@@ -51,21 +51,21 @@ class Matrix {
   bool empty() const { return data_.empty(); }
 
   double& operator()(size_t r, size_t c) {
-    RPAS_DCHECK(r < rows_ && c < cols_);
+    RPAS_HOT_CHECK(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
   }
   double operator()(size_t r, size_t c) const {
-    RPAS_DCHECK(r < rows_ && c < cols_);
+    RPAS_HOT_CHECK(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
   }
 
   /// Flat element access (row-major order).
   double& operator[](size_t i) {
-    RPAS_DCHECK(i < data_.size());
+    RPAS_HOT_CHECK(i < data_.size());
     return data_[i];
   }
   double operator[](size_t i) const {
-    RPAS_DCHECK(i < data_.size());
+    RPAS_HOT_CHECK(i < data_.size());
     return data_[i];
   }
 

@@ -782,6 +782,79 @@ TEST(FusedLstmTapeTest, ScalarValuesAndGradsBitIdenticalToUnfusedReference) {
   }
 }
 
+// ------------------------------------------------------ fused Adam step ---
+
+/// The pre-kernel training step as an oracle: ClipGradNorm's in-place
+/// rescale (only when clipping), then the scalar Adam::Step loop, then
+/// ZeroGrad.
+void OracleAdamStep(const AdamStep& s, bool clipped, size_t n, double* value,
+                    double* grad, double* m, double* v) {
+  if (clipped) {
+    for (size_t i = 0; i < n; ++i) {
+      grad[i] *= s.grad_scale;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    double g = grad[i];
+    if (s.weight_decay != 0.0) {
+      g += s.weight_decay * value[i];
+    }
+    m[i] = s.beta1 * m[i] + (1.0 - s.beta1) * g;
+    v[i] = s.beta2 * v[i] + (1.0 - s.beta2) * g * g;
+    const double m_hat = m[i] / s.bias_correction1;
+    const double v_hat = v[i] / s.bias_correction2;
+    value[i] -= s.lr * m_hat / (std::sqrt(v_hat) + s.epsilon);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    grad[i] = 0.0;
+  }
+}
+
+TEST(AdamKernelTest, MatchesScalarLoopBitwiseAtEveryLevel) {
+  for (SimdLevel level : SupportedLevels()) {
+    for (size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 40u, 41u, 42u, 43u}) {
+      for (double decay : {0.0, 0.01}) {
+        for (bool clipped : {false, true}) {
+          Rng rng(1000 + n);
+          std::vector<double> value(n), m(n, 0.0), v(n, 0.0);
+          for (double& x : value) {
+            x = rng.Uniform(-2.0, 2.0);
+          }
+          std::vector<double> value_ref = value, m_ref = m, v_ref = v;
+          for (int t = 1; t <= 4; ++t) {
+            AdamStep step;
+            step.lr = 3e-3;
+            step.weight_decay = decay;
+            step.bias_correction1 = 1.0 - std::pow(step.beta1, t);
+            step.bias_correction2 = 1.0 - std::pow(step.beta2, t);
+            step.grad_scale = clipped ? 0.37 : 1.0;
+            std::vector<double> grad(n);
+            for (double& g : grad) {
+              // Include exact zeros and a wide magnitude range.
+              g = rng.Uniform() < 0.1 ? 0.0
+                                       : rng.Uniform(-1.0, 1.0) *
+                                             std::pow(10.0, rng.Uniform(-6, 3));
+            }
+            std::vector<double> grad_ref = grad;
+            AdamUpdate(level, n, step, value.data(), grad.data(), m.data(),
+                       v.data());
+            OracleAdamStep(step, clipped, n, value_ref.data(),
+                           grad_ref.data(), m_ref.data(), v_ref.data());
+            for (size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(std::memcmp(&value[i], &value_ref[i], 8), 0)
+                  << LevelName(level) << " n=" << n << " decay=" << decay
+                  << " clipped=" << clipped << " t=" << t << " i=" << i;
+              ASSERT_EQ(std::memcmp(&m[i], &m_ref[i], 8), 0);
+              ASSERT_EQ(std::memcmp(&v[i], &v_ref[i], 8), 0);
+              ASSERT_EQ(std::memcmp(&grad[i], &grad_ref[i], 8), 0);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------- train-loop parity ---
 
 nn::TrainSummary RunTinyLstmTraining(SimdLevel level) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "autodiff/tape.h"
 #include "common/rng.h"
@@ -10,6 +13,7 @@
 #include "nn/losses.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace rpas::nn {
@@ -600,6 +604,296 @@ TEST(TrainerTest, LossHistoryStaysEmptyByDefault) {
   });
   EXPECT_EQ(summary.steps_run, 5);
   EXPECT_TRUE(summary.loss_history.empty());
+}
+
+// ---------------------------------------------------- Fused training step ---
+
+using tensor::kernels::LevelName;
+using tensor::kernels::LevelSupported;
+using tensor::kernels::ScopedSimdLevel;
+using tensor::kernels::SimdLevel;
+
+std::vector<SimdLevel> SupportedLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  for (SimdLevel l : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    if (LevelSupported(l)) {
+      levels.push_back(l);
+    }
+  }
+  return levels;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
+// The elementwise compositions the fused NLL nodes replaced, kept verbatim
+// as the bit-identity oracles.
+Var OracleGaussianNll(Tape* tape, Var mu, Var sigma, Var target) {
+  Var z = tape->Div(tape->Sub(target, mu), sigma);
+  Var nll = tape->Add(tape->Log(sigma), tape->Scale(tape->Square(z), 0.5));
+  nll = tape->AddScalar(nll, 0.5 * std::log(2.0 * M_PI));
+  return tape->Mean(nll);
+}
+
+Var OracleStudentTNll(Tape* tape, Var mu, Var sigma, Var target, double dof) {
+  const double constant = -std::lgamma((dof + 1.0) / 2.0) +
+                          std::lgamma(dof / 2.0) +
+                          0.5 * std::log(dof * M_PI);
+  Var z = tape->Div(tape->Sub(target, mu), sigma);
+  Var log_term =
+      tape->Log(tape->AddScalar(tape->Scale(tape->Square(z), 1.0 / dof), 1.0));
+  Var nll = tape->Add(tape->Log(sigma),
+                      tape->Scale(log_term, (dof + 1.0) / 2.0));
+  nll = tape->AddScalar(nll, constant);
+  return tape->Mean(nll);
+}
+
+/// Seeded likelihood inputs cycling through ordinary draws, tiny sigma,
+/// huge residuals, and signed-zero residuals.
+struct NllCase {
+  Parameter mu;
+  Parameter sigma;
+  Parameter target;
+};
+
+NllCase MakeNllCase(size_t rows, size_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix mu(rows, cols);
+  Matrix sigma(rows, cols);
+  Matrix target(rows, cols);
+  for (size_t i = 0; i < mu.size(); ++i) {
+    mu[i] = 3.0 * rng.Normal();
+    sigma[i] = 0.05 + 2.0 * rng.Uniform();
+    target[i] = mu[i] + sigma[i] * rng.Normal();
+    switch (i % 6) {
+      case 1:
+        sigma[i] = 1e-3 * rng.Uniform() + 1e-12;  // tiny sigma
+        break;
+      case 2:
+        target[i] = mu[i] + 1e7 * rng.Normal();  // huge residual
+        break;
+      case 3:
+        mu[i] = 0.0;
+        target[i] = -0.0;  // residual -0
+        break;
+      case 4:
+        mu[i] = -0.0;
+        target[i] = -0.0;  // residual +0
+        break;
+      default:
+        break;
+    }
+  }
+  return NllCase{Parameter(mu), Parameter(sigma), Parameter(target)};
+}
+
+using NllFn = Var (*)(Tape*, Var, Var, Var);
+
+/// Loss value and input gradients of `nll` inside a graph that scales the
+/// loss (incoming grad != 1) and also consumes mu and sigma after it, so
+/// the NLL backward accumulates into grads that are already nonzero.
+struct NllResult {
+  double loss = 0.0;
+  double nll = 0.0;
+  Matrix g_mu, g_sigma, g_target;
+};
+
+NllResult RunNll(NllFn nll_fn, size_t rows, size_t cols, uint64_t seed,
+                 bool target_grad) {
+  NllCase c = MakeNllCase(rows, cols, seed);
+  Tape tape;
+  Var mu = tape.Bind(&c.mu);
+  Var sigma = tape.Bind(&c.sigma);
+  Var target =
+      target_grad ? tape.Bind(&c.target) : tape.Constant(c.target.value);
+  Var nll = nll_fn(&tape, mu, sigma, target);
+  Var loss =
+      tape.Add(tape.Scale(nll, 0.37), tape.Sum(tape.Mul(mu, sigma)));
+  tape.Backward(loss);
+  return NllResult{loss.value()(0, 0), nll.value()(0, 0), c.mu.grad,
+                   c.sigma.grad, c.target.grad};
+}
+
+void ExpectSameBits(const NllResult& want, const NllResult& got,
+                    const std::string& where) {
+  EXPECT_TRUE(SameBits(want.nll, got.nll))
+      << where << " nll " << want.nll << " vs " << got.nll;
+  EXPECT_TRUE(SameBits(want.loss, got.loss)) << where << " loss";
+  for (size_t i = 0; i < want.g_mu.size(); ++i) {
+    EXPECT_TRUE(SameBits(want.g_mu[i], got.g_mu[i]))
+        << where << " d/dmu[" << i << "] " << want.g_mu[i] << " vs "
+        << got.g_mu[i];
+    EXPECT_TRUE(SameBits(want.g_sigma[i], got.g_sigma[i]))
+        << where << " d/dsigma[" << i << "] " << want.g_sigma[i] << " vs "
+        << got.g_sigma[i];
+    EXPECT_TRUE(SameBits(want.g_target[i], got.g_target[i]))
+        << where << " d/dtarget[" << i << "]";
+  }
+}
+
+constexpr size_t kNllShapes[][2] = {{1, 1}, {7, 1}, {3, 5}, {16, 12}};
+
+TEST(FusedNllTest, GaussianMatchesCompositionBitwiseAtEveryLevel) {
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel scoped(level);
+    for (const auto& shape : kNllShapes) {
+      for (bool target_grad : {false, true}) {
+        const uint64_t seed = 100 + shape[0] * 16 + shape[1];
+        const NllResult want = RunNll(&OracleGaussianNll, shape[0], shape[1],
+                                      seed, target_grad);
+        const NllResult got = RunNll(&GaussianNllLoss, shape[0], shape[1],
+                                     seed, target_grad);
+        ExpectSameBits(want, got,
+                       std::string(LevelName(level)) + " " +
+                           std::to_string(shape[0]) + "x" +
+                           std::to_string(shape[1]));
+      }
+    }
+  }
+}
+
+template <int kDofTimes2>
+Var OracleStudentT(Tape* t, Var mu, Var sigma, Var target) {
+  return OracleStudentTNll(t, mu, sigma, target, kDofTimes2 / 2.0);
+}
+template <int kDofTimes2>
+Var FusedStudentT(Tape* t, Var mu, Var sigma, Var target) {
+  return StudentTNllLoss(t, mu, sigma, target, kDofTimes2 / 2.0);
+}
+
+TEST(FusedNllTest, StudentTMatchesCompositionBitwiseAtEveryLevel) {
+  const std::pair<NllFn, NllFn> dofs[] = {
+      {&OracleStudentT<2>, &FusedStudentT<2>},    // dof 1 (Cauchy)
+      {&OracleStudentT<8>, &FusedStudentT<8>},    // dof 4 (DeepAR default)
+      {&OracleStudentT<61>, &FusedStudentT<61>},  // dof 30.5
+  };
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel scoped(level);
+    for (const auto& [oracle, fused] : dofs) {
+      for (const auto& shape : kNllShapes) {
+        for (bool target_grad : {false, true}) {
+          const uint64_t seed = 200 + shape[0] * 16 + shape[1];
+          const NllResult want =
+              RunNll(oracle, shape[0], shape[1], seed, target_grad);
+          const NllResult got =
+              RunNll(fused, shape[0], shape[1], seed, target_grad);
+          ExpectSameBits(want, got,
+                         std::string(LevelName(level)) + " " +
+                             std::to_string(shape[0]) + "x" +
+                             std::to_string(shape[1]));
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedNllTest, MlpGaussianTrainingKeepsArenaFlat) {
+  Rng data_rng(31);
+  Matrix x = RandomMatrix(16, 6, &data_rng);
+  Rng init_rng(32);
+  Dense hidden(6, 8, Dense::Activation::kRelu, &init_rng);
+  Dense head(8, 2 * 3, Dense::Activation::kNone, &init_rng);
+  std::vector<Parameter*> params = hidden.Params();
+  for (Parameter* p : head.Params()) {
+    params.push_back(p);
+  }
+  TrainConfig config;
+  config.steps = 12;
+  auto summary = TrainLoop(config, params, [&](Tape* t, Rng* rng) {
+    Var xv = t->Input(16, 6);
+    Var y = t->Input(16, 3);
+    Matrix& xm = *t->MutableValue(xv);
+    Matrix& ym = *t->MutableValue(y);
+    for (size_t r = 0; r < 16; ++r) {
+      for (size_t c = 0; c < 6; ++c) {
+        xm(r, c) = x(r, c);
+      }
+      for (size_t c = 0; c < 3; ++c) {
+        ym(r, c) = x(r, c) + 0.1 * rng->Normal();
+      }
+    }
+    Var out = head.Forward(t, hidden.Forward(t, xv));
+    Var sigma = t->AddScalar(t->Softplus(t->SliceCols(out, 3, 6)), 1e-3);
+    return GaussianNllLoss(t, t->SliceCols(out, 0, 3), sigma, y);
+  });
+  EXPECT_EQ(summary.steps_run, 12);
+  EXPECT_EQ(summary.arena_allocs_after_warmup, summary.arena_allocs_final);
+}
+
+TEST(FusedNllTest, DeepArStudentTTrainingKeepsArenaFlat) {
+  Rng init_rng(33);
+  LstmCell cell(1, 6, &init_rng);
+  Dense mu_head(6, 1, Dense::Activation::kNone, &init_rng);
+  Dense sigma_head(6, 1, Dense::Activation::kNone, &init_rng);
+  std::vector<Parameter*> params = cell.Params();
+  for (Dense* d : {&mu_head, &sigma_head}) {
+    for (Parameter* p : d->Params()) {
+      params.push_back(p);
+    }
+  }
+  const size_t batch = 5;
+  TrainConfig config;
+  config.steps = 10;
+  auto summary = TrainLoop(config, params, [&](Tape* t, Rng* rng) {
+    LstmCell::State state = cell.ZeroState(t, batch);
+    Var total;
+    for (size_t step = 0; step < 8; ++step) {
+      Var x = t->Input(batch, 1);
+      Var y = t->Input(batch, 1);
+      for (size_t r = 0; r < batch; ++r) {
+        const double phase = 0.5 * static_cast<double>(step + r);
+        (*t->MutableValue(x))(r, 0) = std::sin(phase);
+        (*t->MutableValue(y))(r, 0) =
+            std::sin(phase + 0.5) + 0.05 * rng->Normal();
+      }
+      state = cell.Step(t, x, state);
+      Var sigma = t->AddScalar(
+          t->Softplus(sigma_head.Forward(t, state.h)), 1e-3);
+      Var nll =
+          StudentTNllLoss(t, mu_head.Forward(t, state.h), sigma, y, 4.0);
+      total = step == 0 ? nll : t->Add(total, nll);
+    }
+    return t->Scale(total, 1.0 / 8.0);
+  });
+  EXPECT_EQ(summary.steps_run, 10);
+  EXPECT_EQ(summary.arena_allocs_after_warmup, summary.arena_allocs_final);
+}
+
+TEST(TrainerTest, NonFiniteStepsAreSkippedAndCounted) {
+  Rng data_rng(34);
+  Matrix x = RandomMatrix(8, 2, &data_rng);
+  Rng init_rng(35);
+  Dense layer(2, 1, Dense::Activation::kNone, &init_rng);
+  TrainConfig config;
+  config.steps = 8;
+  config.lr = 0.05;
+  int step = 0;
+  std::vector<Matrix> weights_at_step;
+  auto summary = TrainLoop(config, layer.Params(), [&](Tape* t, Rng*) {
+    weights_at_step.push_back(layer.Params()[0]->value);
+    Matrix xs = x;
+    if (step == 2 || step == 5) {
+      xs(3, 1) = std::numeric_limits<double>::quiet_NaN();  // bad telemetry
+    }
+    ++step;
+    Var pred = layer.Forward(t, t->Constant(xs));
+    return MseLoss(t, pred, t->Constant(Matrix(8, 1)));
+  });
+  weights_at_step.push_back(layer.Params()[0]->value);
+  EXPECT_EQ(summary.steps_run, 8);
+  EXPECT_EQ(summary.nonfinite_steps, 2);
+  for (Parameter* p : layer.Params()) {
+    for (size_t i = 0; i < p->size(); ++i) {
+      EXPECT_TRUE(std::isfinite(p->value[i]));
+      EXPECT_EQ(p->grad[i], 0.0);
+    }
+  }
+  for (int k = 0; k < 8; ++k) {
+    const bool skipped = k == 2 || k == 5;
+    const bool unchanged =
+        weights_at_step[k][0] == weights_at_step[k + 1][0] &&
+        weights_at_step[k][1] == weights_at_step[k + 1][1];
+    EXPECT_EQ(unchanged, skipped) << "step " << k;
+  }
 }
 
 }  // namespace

@@ -5,10 +5,16 @@
 // (recursive / fine-tune / resync / drift retrain), and RunOnlineLoop's
 // refresh_mode wiring including ingest-stall/burst fault composition.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -527,6 +533,61 @@ TEST(IncrementalUpdateTest, MlpFineTuneRunsBoundedGradientSteps) {
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->points, 0u);
   EXPECT_EQ(empty->gradient_steps, 0);
+}
+
+// One NaN observation in the fine-tune window used to poison the weights:
+// its steps have a NaN loss and gradient norm, `NaN > clip_norm` is false so
+// clipping let it through, and Adam wrote NaN into the weights. Forecasts
+// then went NaN, or (when a ReLU hid the NaN) stopped reacting to their
+// input. Those steps are now skipped.
+TEST(IncrementalUpdateTest, MlpFineTuneSkipsNonFiniteTelemetry) {
+  ts::TimeSeries series = SineSeries(300, 0.3, 31);
+  forecast::MlpForecaster::Options options;
+  options.context_length = 12;
+  options.horizon = 6;
+  options.hidden_dim = 8;
+  options.num_hidden_layers = 1;
+  options.batch_size = 16;
+  options.train.steps = 60;
+  options.train.lr = 1e-2;
+  options.fine_tune_steps = 10;
+  forecast::MlpForecaster model(options);
+  ASSERT_TRUE(model.Fit(series.Slice(0, 260)).ok());
+
+  series.values[285] = std::numeric_limits<double>::quiet_NaN();
+  auto report = model.IncrementalUpdate(series, 40);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->gradient_steps, 10);
+
+  const std::string path = "/tmp/rpas_stream_nonfinite_" +
+                           std::to_string(static_cast<long>(getpid())) +
+                           ".ckpt";
+  ASSERT_TRUE(model.SaveCheckpoint(path).ok());
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_EQ(text.find("nan"), std::string::npos) << "NaN weights saved";
+  EXPECT_EQ(text.find("inf"), std::string::npos) << "inf weights saved";
+
+  // The forecast still follows its input: halving the context load moves
+  // the median well away from the full-load median.
+  forecast::ForecastInput input;
+  input.start_index = series.size();
+  input.step_minutes = series.step_minutes;
+  input.context.assign(series.values.end() - 12, series.values.end());
+  forecast::ForecastInput halved = input;
+  for (double& v : halved.context) {
+    v *= 0.5;
+  }
+  auto full = model.PredictSeeded(input, 5);
+  auto half = model.PredictSeeded(halved, 5);
+  ASSERT_TRUE(full.ok() && half.ok());
+  const double full_median = full->Median().front();
+  const double half_median = half->Median().front();
+  EXPECT_TRUE(std::isfinite(full_median));
+  EXPECT_LT(half_median, full_median - 0.1 * std::fabs(full_median))
+      << "median " << full_median << " -> " << half_median;
 }
 
 // -------------------------------------------------- IncrementalRefresher ---

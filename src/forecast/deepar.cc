@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
 #include "dist/empirical.h"
 #include "nn/checkpoint.h"
 #include "nn/losses.h"
-#include "tensor/ops.h"
 #include "ts/window.h"
 
 namespace rpas::forecast {
@@ -255,75 +255,118 @@ DeepArForecaster::IncrementalUpdate(const ts::TimeSeries& history,
 
 Result<std::vector<std::vector<double>>> DeepArForecaster::SampleTrajectories(
     const ForecastInput& input, size_t num_samples) const {
-  return SampleWithRng(input, num_samples, &sample_rng_);
+  Rng* rng = &sample_rng_;
+  return SamplePaths({&input, 1}, {&rng, 1}, num_samples);
 }
 
 Rng DeepArForecaster::SamplingRng(uint64_t seed) {
   return Rng(DeriveSeed(seed, 0xD1CEu));
 }
 
-Result<std::vector<std::vector<double>>> DeepArForecaster::SampleWithRng(
-    const ForecastInput& input, size_t num_samples, Rng* rng) const {
+Result<std::vector<std::vector<double>>> DeepArForecaster::SamplePaths(
+    std::span<const ForecastInput> inputs, std::span<Rng* const> rngs,
+    size_t num_samples) const {
+  RPAS_CHECK(inputs.size() == rngs.size());
   if (!fitted_) {
     return Status::FailedPrecondition("DeepAR: Fit() not called");
   }
-  if (input.context.size() != options_.context_length) {
-    return Status::InvalidArgument("DeepAR: context length mismatch");
+  for (const ForecastInput& input : inputs) {
+    if (input.context.size() != options_.context_length) {
+      return Status::InvalidArgument("DeepAR: context length mismatch");
+    }
   }
   const size_t t_len = options_.context_length;
   const size_t h = options_.horizon;
-  const double scale = WindowScale(input.context);
+  const size_t hidden = options_.hidden_dim;
+  const size_t requests = inputs.size();
+  const size_t rows = requests * num_samples;
 
-  // Encode the observed context once (batch of 1).
-  nn::LstmCell::RawState encoded = lstm_->ZeroRawState(1);
-  for (size_t t = 1; t < t_len; ++t) {
-    Matrix x(1, kInputDim);
-    x(0, 0) = input.context[t - 1] / scale;
-    const auto tf = TimeFeatures(input.start_index + t, input.step_minutes);
-    for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-      x(0, 1 + j) = tf[j];
-    }
-    encoded = lstm_->Step(x, encoded);
+  std::vector<double> scales(requests);
+  for (size_t r = 0; r < requests; ++r) {
+    scales[r] = WindowScale(inputs[r].context);
   }
 
-  // Replicate the encoded state across sample rows and roll forward,
-  // feeding each sampled value back as the next input (ancestral sampling).
-  nn::LstmCell::RawState state = lstm_->ZeroRawState(num_samples);
-  for (size_t r = 0; r < num_samples; ++r) {
-    for (size_t c = 0; c < options_.hidden_dim; ++c) {
-      state.h(r, c) = encoded.h(0, c);
-      state.c(r, c) = encoded.c(0, c);
+  // Every row of an LSTM step, and of a head, is an independent function of
+  // that row's input and state: each output element accumulates over k in
+  // a fixed order whatever the row count. So one roll over any set of rows
+  // gives every row the bits a roll over that row alone would.
+  nn::LstmCell::Runner lstm(*lstm_);
+  nn::LstmCell::RawState state = lstm_->ZeroRawState(requests);
+  nn::LstmCell::RawState next;
+  Matrix x(requests, kInputDim);
+  // Input row: scaled previous value, then the calendar features `tf`.
+  const auto set_input = [&](size_t row, double y, const auto& tf) {
+    x(row, 0) = y;
+    std::copy(tf.begin(), tf.end(), x.data() + row * kInputDim + 1);
+  };
+  // Context encoding, one row per request. Its last step (t = t_len) feeds
+  // the newest observation at the first forecast index: that is sample
+  // step 0, whose input and state are the same for every sample of a
+  // request, so it runs once per request.
+  for (size_t t = 1; t <= t_len; ++t) {
+    for (size_t r = 0; r < requests; ++r) {
+      set_input(r, inputs[r].context[t - 1] / scales[r],
+                TimeFeatures(inputs[r].start_index + t,
+                             inputs[r].step_minutes));
     }
+    lstm.Step(x, state, &next);
+    std::swap(state, next);
   }
 
-  std::vector<std::vector<double>> trajectories(
-      num_samples, std::vector<double>(h, 0.0));
-  std::vector<double> prev(num_samples, input.context.back() / scale);
-  for (size_t step = 0; step < h; ++step) {
-    const size_t abs_index = input.forecast_start() + step;
-    const auto tf = TimeFeatures(abs_index, input.step_minutes);
-    Matrix x(num_samples, kInputDim);
-    for (size_t r = 0; r < num_samples; ++r) {
-      x(r, 0) = prev[r];
-      for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-        x(r, 1 + j) = tf[j];
+  // Ancestral sampling: request r owns rows [r*S, (r+1)*S) and draws from
+  // rngs[r] alone, per step in sample order. Step 0 reads head row r for
+  // all of its samples; later steps read each sample's own row.
+  Matrix mu;
+  Matrix sigma_raw;
+  std::vector<std::vector<double>> trajectories(rows,
+                                                std::vector<double>(h, 0.0));
+  std::vector<double> prev(rows);
+  const auto draw_step = [&](size_t step, size_t request_stride,
+                             size_t sample_stride) {
+    mu_head_->ApplyInto(state.h, &mu);
+    sigma_head_->ApplyInto(state.h, &sigma_raw);
+    for (size_t r = 0; r < requests; ++r) {
+      for (size_t s = 0; s < num_samples; ++s) {
+        const size_t head_row = r * request_stride + s * sample_stride;
+        const double sigma =
+            SoftplusScalar(sigma_raw(head_row, 0)) + options_.min_sigma;
+        const double noise = options_.head == Head::kStudentT
+                                 ? rngs[r]->StudentT(options_.student_t_dof)
+                                 : rngs[r]->Normal();
+        const double draw = mu(head_row, 0) + sigma * noise;
+        const size_t row = r * num_samples + s;
+        trajectories[row][step] = draw * scales[r];
+        prev[row] = draw;
       }
     }
-    state = lstm_->Step(x, state);
-    Matrix mu = mu_head_->Apply(state.h);
-    Matrix sigma_raw = sigma_head_->Apply(state.h);
-    for (size_t r = 0; r < num_samples; ++r) {
-      const double sigma =
-          SoftplusScalar(sigma_raw(r, 0)) + options_.min_sigma;
-      double draw;
-      if (options_.head == Head::kStudentT) {
-        draw = mu(r, 0) + sigma * rng->StudentT(options_.student_t_dof);
-      } else {
-        draw = mu(r, 0) + sigma * rng->Normal();
-      }
-      trajectories[r][step] = draw * scale;
-      prev[r] = draw;
+  };
+  draw_step(0, /*request_stride=*/1, /*sample_stride=*/0);
+
+  // Replicate each request's state across its sample rows.
+  nn::LstmCell::RawState wide = lstm_->ZeroRawState(rows);
+  for (size_t r = 0; r < requests; ++r) {
+    for (size_t s = 0; s < num_samples; ++s) {
+      const size_t row = r * num_samples + s;
+      std::copy_n(state.h.data() + r * hidden, hidden,
+                  wide.h.data() + row * hidden);
+      std::copy_n(state.c.data() + r * hidden, hidden,
+                  wide.c.data() + row * hidden);
     }
+  }
+  state = std::move(wide);
+  x.ResizeZero(rows, kInputDim);
+  for (size_t step = 1; step < h; ++step) {
+    for (size_t r = 0; r < requests; ++r) {
+      const auto tf = TimeFeatures(inputs[r].forecast_start() + step,
+                                   inputs[r].step_minutes);
+      for (size_t s = 0; s < num_samples; ++s) {
+        const size_t row = r * num_samples + s;
+        set_input(row, prev[row], tf);
+      }
+    }
+    lstm.Step(x, state, &next);
+    std::swap(state, next);
+    draw_step(step, /*request_stride=*/num_samples, /*sample_stride=*/1);
   }
   return trajectories;
 }
@@ -358,8 +401,10 @@ Result<ts::QuantileForecast> DeepArForecaster::Predict(
 Result<ts::QuantileForecast> DeepArForecaster::PredictSeeded(
     const ForecastInput& input, uint64_t seed) const {
   Rng rng = SamplingRng(seed);
-  RPAS_ASSIGN_OR_RETURN(std::vector<std::vector<double>> trajectories,
-                        SampleWithRng(input, options_.num_samples, &rng));
+  Rng* rng_ptr = &rng;
+  RPAS_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> trajectories,
+      SamplePaths({&input, 1}, {&rng_ptr, 1}, options_.num_samples));
   return ReduceToQuantiles(trajectories);
 }
 
@@ -373,102 +418,17 @@ Result<std::vector<ts::QuantileForecast>> DeepArForecaster::PredictBatch(
   if (inputs.empty()) {
     return std::vector<ts::QuantileForecast>{};
   }
-  if (!fitted_) {
-    return Status::FailedPrecondition("DeepAR: Fit() not called");
-  }
-  for (const ForecastInput& input : inputs) {
-    if (input.context.size() != options_.context_length) {
-      return Status::InvalidArgument("DeepAR: context length mismatch");
-    }
-  }
-  const size_t t_len = options_.context_length;
-  const size_t h = options_.horizon;
   const size_t num_requests = inputs.size();
   const size_t samples = options_.num_samples;
-
-  std::vector<double> scales(num_requests);
-  for (size_t r = 0; r < num_requests; ++r) {
-    scales[r] = WindowScale(inputs[r].context);
-  }
-
-  // Batched context encoding: one roll with one row per request. Every row
-  // of an LSTM step is an independent function of that row's input and
-  // state (MatMul accumulates each output element over k in a fixed order
-  // regardless of the row count), so row r here is bit-identical to the
-  // batch-of-1 encode PredictSeeded performs for the same request.
-  nn::LstmCell::RawState encoded = lstm_->ZeroRawState(num_requests);
-  for (size_t t = 1; t < t_len; ++t) {
-    Matrix x(num_requests, kInputDim);
-    for (size_t r = 0; r < num_requests; ++r) {
-      x(r, 0) = inputs[r].context[t - 1] / scales[r];
-      const auto tf =
-          TimeFeatures(inputs[r].start_index + t, inputs[r].step_minutes);
-      for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-        x(r, 1 + j) = tf[j];
-      }
-    }
-    encoded = lstm_->Step(x, encoded);
-  }
-
-  // Stacked ancestral sampling: request r owns rows [r*S, (r+1)*S). Each
-  // request draws from its own seed-derived generator in the same order as
-  // the unbatched path (per step: its rows in sample order), so the draws —
-  // and therefore the trajectories — match PredictSeeded exactly.
-  const size_t rows = num_requests * samples;
-  nn::LstmCell::RawState state = lstm_->ZeroRawState(rows);
-  for (size_t r = 0; r < num_requests; ++r) {
-    for (size_t s = 0; s < samples; ++s) {
-      for (size_t c = 0; c < options_.hidden_dim; ++c) {
-        state.h(r * samples + s, c) = encoded.h(r, c);
-        state.c(r * samples + s, c) = encoded.c(r, c);
-      }
-    }
-  }
   std::vector<Rng> rngs;
+  std::vector<Rng*> rng_ptrs;
   rngs.reserve(num_requests);
   for (size_t r = 0; r < num_requests; ++r) {
     rngs.push_back(SamplingRng(seeds[r]));
+    rng_ptrs.push_back(&rngs.back());
   }
-  std::vector<double> prev(rows);
-  for (size_t r = 0; r < num_requests; ++r) {
-    for (size_t s = 0; s < samples; ++s) {
-      prev[r * samples + s] = inputs[r].context.back() / scales[r];
-    }
-  }
-  std::vector<std::vector<double>> trajectories(rows,
-                                                std::vector<double>(h, 0.0));
-  for (size_t step = 0; step < h; ++step) {
-    Matrix x(rows, kInputDim);
-    for (size_t r = 0; r < num_requests; ++r) {
-      const auto tf = TimeFeatures(inputs[r].forecast_start() + step,
-                                   inputs[r].step_minutes);
-      for (size_t s = 0; s < samples; ++s) {
-        const size_t row = r * samples + s;
-        x(row, 0) = prev[row];
-        for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-          x(row, 1 + j) = tf[j];
-        }
-      }
-    }
-    state = lstm_->Step(x, state);
-    Matrix mu = mu_head_->Apply(state.h);
-    Matrix sigma_raw = sigma_head_->Apply(state.h);
-    for (size_t r = 0; r < num_requests; ++r) {
-      for (size_t s = 0; s < samples; ++s) {
-        const size_t row = r * samples + s;
-        const double sigma =
-            SoftplusScalar(sigma_raw(row, 0)) + options_.min_sigma;
-        double draw;
-        if (options_.head == Head::kStudentT) {
-          draw = mu(row, 0) + sigma * rngs[r].StudentT(options_.student_t_dof);
-        } else {
-          draw = mu(row, 0) + sigma * rngs[r].Normal();
-        }
-        trajectories[row][step] = draw * scales[r];
-        prev[row] = draw;
-      }
-    }
-  }
+  RPAS_ASSIGN_OR_RETURN(std::vector<std::vector<double>> trajectories,
+                        SamplePaths(inputs, rng_ptrs, samples));
 
   std::vector<ts::QuantileForecast> out;
   out.reserve(num_requests);

@@ -2,6 +2,7 @@
 #define RPAS_FORECAST_DEEPAR_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "forecast/forecaster.h"
@@ -87,9 +88,10 @@ class DeepArForecaster final : public Forecaster {
   bool SupportsCheckpoint() const override { return true; }
 
   /// Serves from an rpasq.v1 checkpoint: the LSTM recurrence matrices and
-  /// head weights stay in the mapped file (dequant-on-the-fly GEMM), biases
-  /// decode to fp64. The model keeps `checkpoint` alive and becomes
-  /// inference-only.
+  /// head weights stay in the mapped file, biases decode to fp64. Each
+  /// prediction call decodes the recurrence matrices once into a buffer that
+  /// lives for that call; the heads dequantize inside their GEMM. The model
+  /// keeps `checkpoint` alive and becomes inference-only.
   Status LoadQuantizedCheckpoint(
       std::shared_ptr<const nn::QuantizedCheckpoint> checkpoint) override;
   bool SupportsQuantizedCheckpoint() const override { return true; }
@@ -123,10 +125,14 @@ class DeepArForecaster final : public Forecaster {
                                double step_minutes,
                                const nn::TrainConfig& config);
 
-  /// Sampling core shared by every prediction path: draws noise from `rng`
-  /// (never from sample_rng_).
-  Result<std::vector<std::vector<double>>> SampleWithRng(
-      const ForecastInput& input, size_t num_samples, Rng* rng) const;
+  /// Sampling core shared by every prediction path: encodes all requests in
+  /// one roll and samples `num_samples` paths per request in a second.
+  /// Request r owns trajectory rows [r * num_samples, (r + 1) * num_samples)
+  /// and draws its noise from rngs[r] alone, so its rows do not depend on
+  /// which other requests share the call.
+  Result<std::vector<std::vector<double>>> SamplePaths(
+      std::span<const ForecastInput> inputs, std::span<Rng* const> rngs,
+      size_t num_samples) const;
   /// Reduces sampled trajectories to per-step quantiles at the configured
   /// levels.
   ts::QuantileForecast ReduceToQuantiles(

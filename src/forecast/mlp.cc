@@ -289,16 +289,25 @@ Result<MlpForecaster::GaussianParams> MlpForecaster::PredictDistribution(
   return dist;
 }
 
+std::vector<double> MlpForecaster::LevelZScores() const {
+  std::vector<double> z;
+  z.reserve(options_.levels.size());
+  for (double tau : options_.levels) {
+    z.push_back(dist::NormalQuantile(tau));
+  }
+  return z;
+}
+
 Result<ts::QuantileForecast> MlpForecaster::Predict(
     const ForecastInput& input) const {
   RPAS_ASSIGN_OR_RETURN(GaussianParams dist, PredictDistribution(input));
   const size_t h = options_.horizon;
+  const std::vector<double> z = LevelZScores();
   std::vector<std::vector<double>> values(h);
   for (size_t step = 0; step < h; ++step) {
-    values[step].reserve(options_.levels.size());
-    for (double tau : options_.levels) {
-      values[step].push_back(dist.mean[step] +
-                             dist.stddev[step] * dist::NormalQuantile(tau));
+    values[step].reserve(z.size());
+    for (double z_tau : z) {
+      values[step].push_back(dist.mean[step] + dist.stddev[step] * z_tau);
     }
   }
   return ts::QuantileForecast(options_.levels, std::move(values));
@@ -336,6 +345,7 @@ Result<std::vector<ts::QuantileForecast>> MlpForecaster::PredictBatch(
   }
   Matrix out = head_->Apply(hidden);
   const size_t h = options_.horizon;
+  const std::vector<double> z = LevelZScores();
   std::vector<ts::QuantileForecast> forecasts;
   forecasts.reserve(batch);
   for (size_t r = 0; r < batch; ++r) {
@@ -348,9 +358,9 @@ Result<std::vector<ts::QuantileForecast>> MlpForecaster::PredictBatch(
           options_.min_sigma;
       const double mean = scaler_.Inverse(mu_scaled);
       const double stddev = sigma_scaled * scaler_.scale();
-      values[step].reserve(options_.levels.size());
-      for (double tau : options_.levels) {
-        values[step].push_back(mean + stddev * dist::NormalQuantile(tau));
+      values[step].reserve(z.size());
+      for (double z_tau : z) {
+        values[step].push_back(mean + stddev * z_tau);
       }
     }
     forecasts.emplace_back(options_.levels, std::move(values));

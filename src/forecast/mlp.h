@@ -112,6 +112,9 @@ class MlpForecaster final : public Forecaster {
 
   /// Input width: context length, plus calendar features when enabled.
   size_t InputDim() const;
+  /// Standard-normal quantile z(tau) of each configured level, computed
+  /// once per prediction call rather than per row and step.
+  std::vector<double> LevelZScores() const;
 
   /// Feature vector: scaled context (+ calendar features of the first
   /// forecast step when enabled).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "nn/losses.h"
@@ -171,30 +172,31 @@ Result<std::vector<double>> Qb5000Forecaster::PredictLstm(
     return Status::FailedPrecondition("QB5000: Fit() not called");
   }
   const size_t t_len = options_.context_length;
+  nn::LstmCell::Runner lstm(*lstm_);
   nn::LstmCell::RawState state = lstm_->ZeroRawState(1);
-  for (size_t t = 1; t < t_len; ++t) {
-    Matrix x(1, 1 + kNumTimeFeatures);
-    x(0, 0) = scaler_.Transform(input.context[t - 1]);
-    const auto tf = TimeFeatures(input.start_index + t, input.step_minutes);
+  nn::LstmCell::RawState next;
+  Matrix x(1, 1 + kNumTimeFeatures);
+  // One step on input value `y` at absolute index `abs_index`.
+  const auto step_on = [&](double y, size_t abs_index) {
+    x(0, 0) = y;
+    const auto tf = TimeFeatures(abs_index, input.step_minutes);
     for (size_t j = 0; j < kNumTimeFeatures; ++j) {
       x(0, 1 + j) = tf[j];
     }
-    state = lstm_->Step(x, state);
+    lstm.Step(x, state, &next);
+    std::swap(state, next);
+  };
+  for (size_t t = 1; t < t_len; ++t) {
+    step_on(scaler_.Transform(input.context[t - 1]), input.start_index + t);
   }
   std::vector<double> out(options_.horizon);
   double prev = scaler_.Transform(input.context.back());
+  Matrix pred;
   for (size_t step = 0; step < options_.horizon; ++step) {
-    Matrix x(1, 1 + kNumTimeFeatures);
-    x(0, 0) = prev;
-    const auto tf =
-        TimeFeatures(input.forecast_start() + step, input.step_minutes);
-    for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-      x(0, 1 + j) = tf[j];
-    }
-    state = lstm_->Step(x, state);
-    const double pred = lstm_head_->Apply(state.h)(0, 0);
-    out[step] = scaler_.Inverse(pred);
-    prev = pred;
+    step_on(prev, input.forecast_start() + step);
+    lstm_head_->ApplyInto(state.h, &pred);
+    out[step] = scaler_.Inverse(pred(0, 0));
+    prev = pred(0, 0);
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -108,14 +109,24 @@ Matrix TftForecaster::ApplyWindow(const std::vector<double>& scaled_context,
     }
   }
   Matrix enc_embedded = enc_embed_->Apply(enc_in);
+  nn::LstmCell::Runner lstm(*lstm_);
   nn::LstmCell::RawState state = lstm_->ZeroRawState(1);
-  Matrix memory(t_len, options_.d_model);
-  for (size_t t = 0; t < t_len; ++t) {
-    state = lstm_->Step(tensor::SliceRows(enc_embedded, t, t + 1), state);
-    for (size_t c = 0; c < options_.d_model; ++c) {
-      memory(t, c) = state.h(0, c);
+  nn::LstmCell::RawState next;
+  Matrix x(1, options_.d_model);
+  // Steps the cell on row `r` of `embedded` and copies h into row r of
+  // `out`.
+  const auto step_rows = [&](const Matrix& embedded, Matrix* out) {
+    for (size_t r = 0; r < embedded.rows(); ++r) {
+      std::copy_n(embedded.data() + r * options_.d_model, options_.d_model,
+                  x.data());
+      lstm.Step(x, state, &next);
+      std::swap(state, next);
+      std::copy_n(state.h.data(), options_.d_model,
+                  out->data() + r * options_.d_model);
     }
-  }
+  };
+  Matrix memory(t_len, options_.d_model);
+  step_rows(enc_embedded, &memory);
 
   Matrix dec_in(h, kDecInDim);
   for (size_t step = 0; step < h; ++step) {
@@ -126,13 +137,7 @@ Matrix TftForecaster::ApplyWindow(const std::vector<double>& scaled_context,
   }
   Matrix dec_embedded = dec_embed_->Apply(dec_in);
   Matrix decoded(h, options_.d_model);
-  for (size_t step = 0; step < h; ++step) {
-    state = lstm_->Step(tensor::SliceRows(dec_embedded, step, step + 1),
-                        state);
-    for (size_t c = 0; c < options_.d_model; ++c) {
-      decoded(step, c) = state.h(0, c);
-    }
-  }
+  step_rows(dec_embedded, &decoded);
 
   Matrix attended = attention_->Apply(decoded, memory);
   Matrix fused = fusion_->Apply(tensor::ConcatCols(decoded, attended));

@@ -90,37 +90,49 @@ Status Dense::SetQuantizedWeights(const tensor::QTensorView& w) {
 }
 
 Matrix Dense::Apply(const Matrix& x) const {
-  Matrix product;
+  Matrix y;
+  ApplyInto(x, &y);
+  return y;
+}
+
+void Dense::ApplyInto(const Matrix& x, Matrix* y) const {
+  RPAS_CHECK(x.cols() == in_dim_) << "Dense::Apply input dim mismatch";
+  const size_t rows = x.rows();
+  const kernels::SimdLevel level = kernels::ActiveLevel();
+  y->ResizeZero(rows, out_dim_);  // zeroed: both GEMMs accumulate
   if (qw_.valid()) {
-    RPAS_CHECK(x.cols() == in_dim_) << "Dense::Apply input dim mismatch";
-    product = Matrix(x.rows(), out_dim_);  // zeroed; GemmQuant accumulates
-    kernels::GemmQuant(kernels::ActiveLevel(), x.rows(), out_dim_, in_dim_,
-                       x.data(), x.cols(), qw_.dtype, qw_.payload,
-                       product.data(), out_dim_);
+    kernels::GemmQuant(level, rows, out_dim_, in_dim_, x.data(), x.cols(),
+                       qw_.dtype, qw_.payload, y->data(), out_dim_);
   } else {
-    product = ops::MatMul(x, w_.value);
+    kernels::Gemm(level, rows, out_dim_, in_dim_, x.data(), x.cols(),
+                  w_.value.data(), out_dim_, y->data(), out_dim_);
   }
-  Matrix y = ops::AddRowBroadcast(product, b_.value);
+  // Bias after the whole product: one rounded add per element.
+  const double* b = b_.value.data();
+  for (size_t r = 0; r < rows; ++r) {
+    double* row = y->data() + r * out_dim_;
+    for (size_t c = 0; c < out_dim_; ++c) {
+      row[c] += b[c];
+    }
+  }
   // In-place vectorized activations (the Ew* kernels read and write
   // sequentially, so src == dst is safe).
-  const kernels::SimdLevel level = kernels::ActiveLevel();
   switch (act_) {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      kernels::EwRelu(level, y.size(), y.data(), y.data());
+      kernels::EwRelu(level, y->size(), y->data(), y->data());
       break;
     case Activation::kTanh:
-      kernels::EwTanh(level, y.size(), y.data(), y.data());
+      kernels::EwTanh(level, y->size(), y->data(), y->data());
       break;
     case Activation::kSigmoid:
-      kernels::EwSigmoid(level, y.size(), y.data(), y.data());
+      kernels::EwSigmoid(level, y->size(), y->data(), y->data());
       break;
     case Activation::kSoftplus:
-      kernels::EwSoftplus(level, y.size(), y.data(), y.data());
+      kernels::EwSoftplus(level, y->size(), y->data(), y->data());
       break;
   }
-  return y;
 }
 
 std::vector<Parameter*> Dense::Params() { return {&w_, &b_}; }
@@ -147,9 +159,9 @@ LstmCell::RawState LstmCell::ZeroRawState(size_t batch) const {
   return {Matrix(batch, hidden_dim_), Matrix(batch, hidden_dim_)};
 }
 
-// Fused step: one node carries [h | c] (batch x 2H). Pre-activations come
-// from two packed GEMMs plus a fused bias pass, the activation/cell update
-// runs in kernels::LstmCellForward, and the backward replays the whole chain
+// Fused step: one node carries [h | c] (batch x 2H). Two packed GEMMs feed
+// kernels::LstmCellForward, which adds them and the bias and runs the
+// activation/cell update; the backward replays the whole chain
 // through kernels::LstmCellBackward + GEMM kernels. At the scalar dispatch
 // level every intermediate rounding matches the old 14-node-per-step graph,
 // so parameter gradients are bit-identical to the unfused implementation.
@@ -172,25 +184,20 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
   const Matrix& hv = state.h.value();
   const Matrix& cv = state.c.value();
   const size_t batch = xv.rows();
-  RPAS_CHECK(xv.cols() == in_dim_ && hv.cols() == h && cv.cols() == h)
+  RPAS_CHECK(xv.cols() == in_dim_ && hv.rows() == batch && hv.cols() == h &&
+             cv.rows() == batch && cv.cols() == h)
       << "LstmCell::Step shape mismatch";
 
   Var wx = tape->Bind(&w_x_);
   Var wh = tape->Bind(&w_h_);
   Var b = tape->Bind(&b_);
 
-  // act starts as x*Wx; t2 holds h*Wh. The bias pass keeps the historical
-  // rounding order: (xWx + hWh) + b, two roundings per element.
+  // act starts as x*Wx; t2 holds h*Wh. The cell kernel forms
+  // (xWx + hWh) + b from them before activating.
   Matrix* act = tape->Scratch(batch, 4 * h);
   Matrix* t2 = tape->Scratch(batch, 4 * h);
   ops::MatMulInto(xv, w_x_.value, act);
   ops::MatMulInto(hv, w_h_.value, t2);
-  const Matrix& bv = b_.value;
-  for (size_t r = 0; r < batch; ++r) {
-    for (size_t c = 0; c < 4 * h; ++c) {
-      (*act)(r, c) = ((*act)(r, c) + (*t2)(r, c)) + bv(0, c);
-    }
-  }
 
   Matrix* tanh_c = tape->Scratch(batch, h);
   const size_t xi = x.id();
@@ -250,48 +257,79 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
   // Activates `act` in place (saved for the backward) and writes h into
   // columns [0, H), c into [H, 2H) of the fused value.
   kernels::LstmCellForward(kernels::ActiveLevel(), batch, h, act->data(),
-                           cv.data(), h, value->data(), 2 * h,
-                           value->data() + h, 2 * h, tanh_c->data());
+                           t2->data(), b_.value.data(), cv.data(), h,
+                           value->data(), 2 * h, value->data() + h, 2 * h,
+                           tanh_c->data());
   Var new_h = tape->SliceCols(fused, 0, h);
   Var new_c = tape->SliceCols(fused, h, 2 * h);
   return {new_h, new_c};
 }
 
-LstmCell::RawState LstmCell::Step(const Matrix& x,
-                                  const RawState& state) const {
-  const size_t h = hidden_dim_;
-  const size_t batch = x.rows();
-  Matrix gates(batch, 4 * h);
-  Matrix t2(batch, 4 * h);
-  if (qwx_.valid()) {
-    // Quantized serving path: both recurrence GEMMs dequantize the stored
-    // payloads on the fly. gates/t2 are zero-initialized, so the
-    // accumulating GemmQuant computes exactly the products MatMulInto
-    // would.
-    RPAS_CHECK(x.cols() == in_dim_ && state.h.cols() == h);
-    const kernels::SimdLevel level = kernels::ActiveLevel();
-    kernels::GemmQuant(level, batch, 4 * h, in_dim_, x.data(), x.cols(),
-                       qwx_.dtype, qwx_.payload, gates.data(), 4 * h);
-    kernels::GemmQuant(level, batch, 4 * h, h, state.h.data(),
-                       state.h.cols(), qwh_.dtype, qwh_.payload, t2.data(),
-                       4 * h);
+namespace {
+
+/// The fp64 image of a recurrence weight for one Runner: the parameter
+/// itself, or the quantized payload decoded into `buffer` — unless the
+/// payload is q8 and the int8 GEMM is on, which returns null so the step
+/// keeps calling GemmQuant.
+const double* ResolveWeight(const Matrix& value, const tensor::QTensorView& q,
+                            std::vector<double>* buffer) {
+  if (!q.valid()) {
+    return value.data();
+  }
+  if (q.dtype == tensor::DType::kQ8 && kernels::GemmQuantInt8Enabled()) {
+    return nullptr;
+  }
+  buffer->resize(q.size());
+  tensor::DecodePayload(q.dtype, q.payload, q.size(), buffer->data());
+  return buffer->data();
+}
+
+/// out (zeroed, a.rows() x n) += a * W, with W the resolved fp64 image or,
+/// when `w` is null, the quantized payload `q`.
+void MultiplyResolved(const Matrix& a, const double* w,
+                      const tensor::QTensorView& q, size_t n, Matrix* out) {
+  const kernels::SimdLevel level = kernels::ActiveLevel();
+  if (w != nullptr) {
+    kernels::Gemm(level, a.rows(), n, a.cols(), a.data(), a.cols(), w, n,
+                  out->data(), n);
   } else {
-    ops::MatMulInto(x, w_x_.value, &gates);
-    ops::MatMulInto(state.h, w_h_.value, &t2);
+    kernels::GemmQuant(level, a.rows(), n, a.cols(), a.data(), a.cols(),
+                       q.dtype, q.payload, out->data(), n);
   }
-  const Matrix& bv = b_.value;
-  for (size_t r = 0; r < batch; ++r) {
-    for (size_t c = 0; c < 4 * h; ++c) {
-      gates(r, c) = (gates(r, c) + t2(r, c)) + bv(0, c);
-    }
+}
+
+}  // namespace
+
+LstmCell::Runner::Runner(const LstmCell& cell)
+    : cell_(cell),
+      wx_(ResolveWeight(cell.w_x_.value, cell.qwx_, &wx_decoded_)),
+      wh_(ResolveWeight(cell.w_h_.value, cell.qwh_, &wh_decoded_)) {}
+
+void LstmCell::Runner::Step(const Matrix& x, const RawState& state,
+                            RawState* next) {
+  const size_t h = cell_.hidden_dim_;
+  const size_t batch = x.rows();
+  RPAS_CHECK(x.cols() == cell_.in_dim_ && state.h.rows() == batch &&
+             state.h.cols() == h && state.c.rows() == batch &&
+             state.c.cols() == h)
+      << "LstmCell::Runner::Step shape mismatch";
+  RPAS_CHECK(next != &state) << "LstmCell::Runner::Step: next aliases state";
+  // Zeroed every step: both products accumulate into them.
+  gates_.ResizeZero(batch, 4 * h);
+  hh_.ResizeZero(batch, 4 * h);
+  MultiplyResolved(x, wx_, cell_.qwx_, 4 * h, &gates_);
+  MultiplyResolved(state.h, wh_, cell_.qwh_, 4 * h, &hh_);
+  // The kernel overwrites every element of h and c.
+  if (!next->h.SameShape(state.h)) {
+    next->h.ResizeZero(batch, h);
   }
-  RawState out;
-  out.h = Matrix(batch, h);
-  out.c = Matrix(batch, h);
-  kernels::LstmCellForward(kernels::ActiveLevel(), batch, h, gates.data(),
-                           state.c.data(), h, out.h.data(), h, out.c.data(),
-                           h, /*tanh_c=*/nullptr);
-  return out;
+  if (!next->c.SameShape(state.c)) {
+    next->c.ResizeZero(batch, h);
+  }
+  kernels::LstmCellForward(kernels::ActiveLevel(), batch, h, gates_.data(),
+                           hh_.data(), cell_.b_.value.data(), state.c.data(),
+                           h, next->h.data(), h, next->c.data(), h,
+                           /*tanh_c=*/nullptr);
 }
 
 std::vector<Parameter*> LstmCell::Params() { return {&w_x_, &w_h_, &b_}; }

@@ -49,6 +49,10 @@ class Dense final : public Module {
   /// (dequant-on-the-fly); bias add and activation are unchanged, so the
   /// batched-vs-unbatched bit-identity contract holds within a dtype.
   Matrix Apply(const Matrix& x) const;
+  /// Apply() into caller-owned storage: `y` (not aliasing `x`) is reshaped
+  /// to x.rows() x out reusing its allocation, so a per-step head allocates
+  /// nothing once its buffer has grown. Same arithmetic as Apply().
+  void ApplyInto(const Matrix& x, Matrix* y) const;
 
   /// Serving-only weight replacement: Apply() multiplies against the
   /// serialized rpasq payload view `w` (in x out) instead of the fp64
@@ -93,11 +97,38 @@ class LstmCell final : public Module {
   RawState ZeroRawState(size_t batch) const;
 
   /// One step of the recurrence on the tape (training). CHECK-fails on a
-  /// cell serving quantized weights — quantized models are inference-only.
+  /// cell serving quantized weights — quantized models are inference-only —
+  /// and on any operand whose shape does not match x's batch and the cell.
   State Step(Tape* tape, Var x, const State& state);
-  /// One step, tape-free (inference; used by DeepAR ancestral sampling).
-  /// With quantized weights both recurrence GEMMs dequantize on the fly.
-  RawState Step(const Matrix& x, const RawState& state) const;
+
+  /// Tape-free stepping for one inference call (DeepAR sampling, the TFT
+  /// and QB5000 unrolls). Construction resolves the recurrence weights
+  /// once: fp64 parameters are read in place, and a quantized payload is
+  /// decoded into a buffer owned by the runner — the image GemmQuant would
+  /// decode again on every step, so results are bit-identical to it. A q8
+  /// payload under the opt-in int8 GEMM keeps going through GemmQuant. The
+  /// runner also owns the gate buffers, so a roll at a steady batch size
+  /// allocates nothing after its first step. The cell must outlive the
+  /// runner; one runner serves one thread.
+  class Runner {
+   public:
+    explicit Runner(const LstmCell& cell);
+
+    /// Writes the step of `state` on input `x` (batch x in) into `*next`,
+    /// reshaping it only when its shape differs. `next` must not alias
+    /// `state`; ping-pong two states across a roll. CHECK-fails on any
+    /// operand whose shape does not match x's batch and the cell.
+    void Step(const Matrix& x, const RawState& state, RawState* next);
+
+   private:
+    const LstmCell& cell_;
+    std::vector<double> wx_decoded_;
+    std::vector<double> wh_decoded_;
+    const double* wx_ = nullptr;  ///< null: multiply through GemmQuant
+    const double* wh_ = nullptr;
+    Matrix gates_;  ///< x * W_x, then the activated gates
+    Matrix hh_;     ///< h * W_h
+  };
 
   /// Serving-only weight replacement for the two recurrence matrices
   /// (in x 4H and H x 4H); same ownership contract as

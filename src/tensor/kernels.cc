@@ -183,6 +183,29 @@ void GemmPackedRowsScalar(size_t r0, size_t r1, size_t n, size_t k,
   }
 }
 
+// Rows [i, i + R) of one (p, j) cache block. Each element carries its own
+// register accumulator through the block's p range in ascending order.
+template <size_t R>
+void GemmBlockRowsScalar(size_t i, size_t p0, size_t p1, size_t j0,
+                         size_t j1, const double* a, size_t lda,
+                         const double* b, size_t ldb, double* c, size_t ldc) {
+  for (size_t j = j0; j < j1; ++j) {
+    double acc[R];
+    for (size_t r = 0; r < R; ++r) {
+      acc[r] = c[(i + r) * ldc + j];
+    }
+    for (size_t p = p0; p < p1; ++p) {
+      const double b_pj = b[p * ldb + j];
+      for (size_t r = 0; r < R; ++r) {
+        acc[r] += a[(i + r) * lda + p] * b_pj;
+      }
+    }
+    for (size_t r = 0; r < R; ++r) {
+      c[(i + r) * ldc + j] = acc[r];
+    }
+  }
+}
+
 void GemmTNScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
                   const double* b, size_t ldb, double* c, size_t ldc) {
   // c[i][j] += sum_p a[p][i] * b[p][j], ascending p: the exact accumulation
@@ -217,20 +240,26 @@ void GemmNTScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
 }
 
 void LstmCellForwardScalar(size_t batch, size_t hidden, double* gates,
+                           const double* hh, const double* bias,
                            const double* c_prev, size_t ldcp, double* h_out,
                            size_t ldh, double* c_out, size_t ldc,
                            double* tanh_c) {
   for (size_t r = 0; r < batch; ++r) {
     double* g_row = gates + r * 4 * hidden;
+    const double* hh_row = hh + r * 4 * hidden;
     const double* cp_row = c_prev + r * ldcp;
     double* h_row = h_out + r * ldh;
     double* c_row = c_out + r * ldc;
     double* tc_row = tanh_c != nullptr ? tanh_c + r * hidden : nullptr;
+    // Pre-activation of gate column q: (xW_x + hW_h) + b.
+    const auto pre = [&](size_t q) {
+      return (g_row[q] + hh_row[q]) + bias[q];
+    };
     for (size_t j = 0; j < hidden; ++j) {
-      const double i = ScalarSigmoid(g_row[j]);
-      const double f = ScalarSigmoid(g_row[hidden + j]);
-      const double g = std::tanh(g_row[2 * hidden + j]);
-      const double o = ScalarSigmoid(g_row[3 * hidden + j]);
+      const double i = ScalarSigmoid(pre(j));
+      const double f = ScalarSigmoid(pre(hidden + j));
+      const double g = std::tanh(pre(2 * hidden + j));
+      const double o = ScalarSigmoid(pre(3 * hidden + j));
       // Mul-then-add in the historical shapes (f*c + i*g; no FMA) so the
       // scalar level reproduces the old per-node graph bit-for-bit.
       const double t1 = f * cp_row[j];
@@ -500,16 +529,12 @@ void GemmRowsScalar(size_t r0, size_t r1, size_t n, size_t k, const double* a,
     const size_t p1 = std::min(p0 + kBlockK, k);
     for (size_t j0 = 0; j0 < n; j0 += kBlockJ) {
       const size_t j1 = std::min(j0 + kBlockJ, n);
-      for (size_t i = r0; i < r1; ++i) {
-        double* c_row = c + i * ldc;
-        const double* a_row = a + i * lda;
-        for (size_t p = p0; p < p1; ++p) {
-          const double a_ip = a_row[p];
-          const double* b_row = b + p * ldb;
-          for (size_t j = j0; j < j1; ++j) {
-            c_row[j] += a_ip * b_row[j];
-          }
-        }
+      size_t i = r0;
+      for (; i + 4 <= r1; i += 4) {
+        GemmBlockRowsScalar<4>(i, p0, p1, j0, j1, a, lda, b, ldb, c, ldc);
+      }
+      for (; i < r1; ++i) {
+        GemmBlockRowsScalar<1>(i, p0, p1, j0, j1, a, lda, b, ldb, c, ldc);
       }
     }
   }
@@ -897,9 +922,9 @@ void AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
 }
 
 void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
-                     double* gates, const double* c_prev, size_t ldcp,
-                     double* h_out, size_t ldh, double* c_out, size_t ldc,
-                     double* tanh_c) {
+                     double* gates, const double* hh, const double* bias,
+                     const double* c_prev, size_t ldcp, double* h_out,
+                     size_t ldh, double* c_out, size_t ldc, double* tanh_c) {
   if (batch == 0 || hidden == 0) {
     return;
   }
@@ -909,20 +934,23 @@ void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
               [&](size_t r0, size_t r1) {
     const size_t rows = r1 - r0;
     double* g = gates + r0 * 4 * hidden;
+    const double* hp = hh + r0 * 4 * hidden;
     const double* cp = c_prev + r0 * ldcp;
     double* h = h_out + r0 * ldh;
     double* co = c_out + r0 * ldc;
     double* tc = tanh_c != nullptr ? tanh_c + r0 * hidden : nullptr;
 #if RPAS_KERNELS_HAVE_AVX2
     if (level == SimdLevel::kAvx2) {
-      avx2::LstmCellForward(rows, hidden, g, cp, ldcp, h, ldh, co, ldc, tc);
+      avx2::LstmCellForward(rows, hidden, g, hp, bias, cp, ldcp, h, ldh, co,
+                            ldc, tc);
       return;
     }
 #endif
     // SSE2 routes here too: the step is transcendental-bound and the scalar
     // formulas are the bit-identity reference.
     (void)level;
-    LstmCellForwardScalar(rows, hidden, g, cp, ldcp, h, ldh, co, ldc, tc);
+    LstmCellForwardScalar(rows, hidden, g, hp, bias, cp, ldcp, h, ldh, co,
+                          ldc, tc);
   });
 }
 

@@ -114,8 +114,14 @@ size_t LstmRowGrain(size_t batch, size_t hidden);
 void Gemm(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
           size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 
-/// The pre-kernel-layer cache-blocked scalar reference (bit-exact legacy
-/// MatMul inner loops) over C rows [r0, r1).
+/// The cache-blocked scalar reference over C rows [r0, r1): every element
+/// starts from its C value and adds a(i,p) * b(p,j) for p = 0..k-1 in
+/// ascending order, one multiply then one add per step — the legacy MatMul
+/// loops' exact operation sequence. Rows run in groups of four with one
+/// register accumulator per row, so the k-chains of a skinny product (the
+/// n = 1 forecast heads) overlap instead of running back to back; the
+/// grouping changes no element's operations, so the result does not depend
+/// on it.
 void GemmRowsScalar(size_t r0, size_t r1, size_t n, size_t k, const double* a,
                     size_t lda, const double* b, size_t ldb, double* c,
                     size_t ldc);
@@ -271,9 +277,12 @@ void AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
 // nn::LstmCell's fused 4H weight layout).
 // ---------------------------------------------------------------------------
 
-/// Forward: `gates` (batch x 4H, row-major, contiguous) holds pre-activations
-/// on entry and activated gates (sigmoid i/f/o, tanh g) on exit.
-/// For each row r, column j:
+/// Forward: on entry `gates` (batch x 4H, row-major, contiguous) holds the
+/// input projection x*W_x and `hh` (same shape) the recurrent projection
+/// h*W_h; `bias` is the 1 x 4H gate bias. Each pre-activation is formed as
+/// (gates + hh) + bias, two roundings in that order at every level, and
+/// `gates` holds the activated gates (sigmoid i/f/o, tanh g) on exit. For
+/// each row r, column j:
 ///   c_out = f * c_prev + i * g
 ///   h_out = o * tanh(c_out)
 /// `tanh_c` (batch x hidden, contiguous) receives tanh(c_out) when non-null
@@ -283,7 +292,8 @@ void AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
 /// Parallel over the batch dimension (LstmRowGrain cost model): rows are
 /// fully independent, so the fan-out is bit-identical to the serial step.
 void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
-                     double* gates, const double* c_prev, size_t ldcp,
+                     double* gates, const double* hh, const double* bias,
+                     const double* c_prev, size_t ldcp,
                      double* h_out, size_t ldh, double* c_out, size_t ldc,
                      double* tanh_c);
 

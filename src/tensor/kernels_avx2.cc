@@ -493,12 +493,32 @@ RPAS_AVX2_FN void AdamUpdate(size_t n, const AdamStep& step, double* value,
   }
 }
 
+namespace {
+
+// Gate pre-activation (xW_x + hW_h) + b for four columns: two separately
+// rounded adds in the scalar reference's order.
+RPAS_AVX2_FN inline __m256d GatePre(const double* xw, const double* hw,
+                                    const double* b, bool full, __m256i m) {
+  if (full) {
+    return _mm256_add_pd(
+        _mm256_add_pd(_mm256_loadu_pd(xw), _mm256_loadu_pd(hw)),
+        _mm256_loadu_pd(b));
+  }
+  return _mm256_add_pd(
+      _mm256_add_pd(_mm256_maskload_pd(xw, m), _mm256_maskload_pd(hw, m)),
+      _mm256_maskload_pd(b, m));
+}
+
+}  // namespace
+
 RPAS_AVX2_FN void LstmCellForward(size_t batch, size_t hidden, double* gates,
+                                  const double* hh, const double* bias,
                                   const double* c_prev, size_t ldcp,
                                   double* h_out, size_t ldh, double* c_out,
                                   size_t ldc, double* tanh_c) {
   for (size_t r = 0; r < batch; ++r) {
     double* g_row = gates + r * 4 * hidden;
+    const double* hh_row = hh + r * 4 * hidden;
     const double* cp_row = c_prev + r * ldcp;
     double* h_row = h_out + r * ldh;
     double* c_row = c_out + r * ldc;
@@ -507,20 +527,17 @@ RPAS_AVX2_FN void LstmCellForward(size_t batch, size_t hidden, double* gates,
       const size_t live = std::min<size_t>(4, hidden - j);
       const bool full = live == 4;
       const __m256i m = TailMask(live);
-      __m256d gi, gf, gg, go, cp;
-      if (full) {
-        gi = _mm256_loadu_pd(g_row + j);
-        gf = _mm256_loadu_pd(g_row + hidden + j);
-        gg = _mm256_loadu_pd(g_row + 2 * hidden + j);
-        go = _mm256_loadu_pd(g_row + 3 * hidden + j);
-        cp = _mm256_loadu_pd(cp_row + j);
-      } else {
-        gi = _mm256_maskload_pd(g_row + j, m);
-        gf = _mm256_maskload_pd(g_row + hidden + j, m);
-        gg = _mm256_maskload_pd(g_row + 2 * hidden + j, m);
-        go = _mm256_maskload_pd(g_row + 3 * hidden + j, m);
-        cp = _mm256_maskload_pd(cp_row + j, m);
-      }
+      const __m256d gi = GatePre(g_row + j, hh_row + j, bias + j, full, m);
+      const __m256d gf = GatePre(g_row + hidden + j, hh_row + hidden + j,
+                                 bias + hidden + j, full, m);
+      const __m256d gg = GatePre(g_row + 2 * hidden + j,
+                                 hh_row + 2 * hidden + j,
+                                 bias + 2 * hidden + j, full, m);
+      const __m256d go = GatePre(g_row + 3 * hidden + j,
+                                 hh_row + 3 * hidden + j,
+                                 bias + 3 * hidden + j, full, m);
+      const __m256d cp = full ? _mm256_loadu_pd(cp_row + j)
+                              : _mm256_maskload_pd(cp_row + j, m);
       const __m256d iv = Sigmoid4(gi);
       const __m256d fv = Sigmoid4(gf);
       const __m256d gv = Tanh4(gg);

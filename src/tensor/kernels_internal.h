@@ -42,6 +42,7 @@ void EwSigmoid(size_t n, const double* x, double* out);
 void AdamUpdate(size_t n, const AdamStep& step, double* value, double* grad,
                 double* m, double* v);
 void LstmCellForward(size_t batch, size_t hidden, double* gates,
+                     const double* hh, const double* bias,
                      const double* c_prev, size_t ldcp, double* h_out,
                      size_t ldh, double* c_out, size_t ldc, double* tanh_c);
 void LstmCellBackward(size_t batch, size_t hidden, const double* act,

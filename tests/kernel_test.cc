@@ -240,6 +240,82 @@ TEST(GemmParityTest, RowResultsIndependentOfBatchSize) {
   }
 }
 
+uint64_t Bits(double x) {
+  uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+/// One-row-at-a-time oracle: per element, c += a(i,p) * b(p,j) for
+/// ascending p.
+void GemmOneRowOracle(size_t r0, size_t r1, size_t n, size_t k,
+                      const double* a, size_t lda, const double* b,
+                      size_t ldb, double* c, size_t ldc) {
+  for (size_t i = r0; i < r1; ++i) {
+    for (size_t p = 0; p < k; ++p) {
+      const double a_ip = a[i * lda + p];
+      for (size_t j = 0; j < n; ++j) {
+        c[i * ldc + j] += a_ip * b[p * ldb + j];
+      }
+    }
+  }
+}
+
+// The four-row interleave must leave every element's operation sequence
+// unchanged: bitwise equal to the one-row oracle for every row remainder,
+// every skinny width (all of which take this path at every level), k across
+// the 64-wide cache block, signed zeros and NaN.
+TEST(GemmParityTest, FourRowScalarRowsMatchOneRowOracleBitwise) {
+  Rng rng(0x4A0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t m : {4u, 5u, 6u, 7u, 9u, 10u, 11u}) {
+    for (size_t n = 1; n <= 7; ++n) {
+      for (size_t k : {1u, 3u, 20u, 70u}) {
+        // Padded leading dimensions catch any stride mix-up.
+        const size_t lda = k + 2, ldb = n + 1, ldc = n + 3;
+        std::vector<double> a(m * lda), b(k * ldb), c0(m * ldc);
+        for (double& v : a) v = rng.Uniform(-2.0, 2.0);
+        for (double& v : b) v = rng.Uniform(-2.0, 2.0);
+        for (double& v : c0) v = rng.Uniform(-1.0, 1.0);
+        // Row 1 sums only signed zeros; row 2 carries a NaN; row 0 starts
+        // from -0.0 in column 0.
+        for (size_t p = 0; p < k; ++p) {
+          a[1 * lda + p] = p % 2 == 0 ? -0.0 : 0.0;
+        }
+        c0[1 * ldc] = -0.0;
+        c0[0] = -0.0;
+        a[2 * lda + k / 2] = nan;
+        b[(k - 1) * ldb + n - 1] = -0.0;
+
+        std::vector<double> want = c0;
+        GemmOneRowOracle(0, m, n, k, a.data(), lda, b.data(), ldb,
+                         want.data(), ldc);
+        // Sub-ranges as ParallelFor hands them out, starting off the
+        // four-row grid.
+        std::vector<double> split = c0;
+        GemmRowsScalar(0, 1, n, k, a.data(), lda, b.data(), ldb,
+                       split.data(), ldc);
+        GemmRowsScalar(1, m, n, k, a.data(), lda, b.data(), ldb,
+                       split.data(), ldc);
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(Bits(want[i]), Bits(split[i]))
+              << "m=" << m << " n=" << n << " k=" << k << " at " << i;
+        }
+        for (SimdLevel level : SupportedLevels()) {
+          std::vector<double> got = c0;
+          Gemm(level, m, n, k, a.data(), lda, b.data(), ldb, got.data(),
+               ldc);
+          for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+                << LevelName(level) << " m=" << m << " n=" << n
+                << " k=" << k << " at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- int8 GEMM ---
 
 /// Encodes a k x n row-major weight matrix as a kQ8 payload.
@@ -567,15 +643,79 @@ struct LstmFixture {
   size_t hidden;
   Matrix gates;   // batch x 4H pre-activations
   Matrix c_prev;  // batch x H
+  // -0.0 is the additive identity for every double (x + -0.0 == x bit for
+  // bit, +0.0 and NaN included), so combining with these leaves the
+  // fixture's pre-activations exactly as given.
+  Matrix zero_hh;    // batch x 4H of -0.0
+  Matrix zero_bias;  // 1 x 4H of -0.0
 };
 
 LstmFixture MakeLstmFixture(size_t batch, size_t hidden, uint64_t seed) {
-  LstmFixture f{batch, hidden, Matrix(batch, 4 * hidden),
-                Matrix(batch, hidden)};
+  LstmFixture f{batch,
+                hidden,
+                Matrix(batch, 4 * hidden),
+                Matrix(batch, hidden),
+                Matrix(batch, 4 * hidden, -0.0),
+                Matrix(1, 4 * hidden, -0.0)};
   Rng rng(seed);
   FillUniform(&f.gates, &rng, -3.0, 3.0);
   FillUniform(&f.c_prev, &rng, -1.5, 1.5);
   return f;
+}
+
+// The fused combine (xW_x + hW_h) + b inside the cell kernel against a
+// separate combine loop followed by the kernel on the combined
+// pre-activations (the identity combine above), bitwise at every level.
+TEST(LstmKernelTest, FusedGateCombineMatchesSeparateLoopBitwise) {
+  for (size_t hidden : {5u, 20u, 21u}) {
+    for (size_t batch = 0; batch <= 9; ++batch) {
+      Rng rng(0xC0 + 16 * hidden + batch);
+      Matrix xw(batch, 4 * hidden), hw(batch, 4 * hidden);
+      Matrix bias(1, 4 * hidden), c_prev(batch, hidden);
+      FillUniform(&xw, &rng, -2.0, 2.0);
+      FillUniform(&hw, &rng, -2.0, 2.0);
+      FillUniform(&bias, &rng, -1.0, 1.0);
+      FillUniform(&c_prev, &rng, -1.5, 1.5);
+      if (batch > 0) {
+        xw(0, 0) = -0.0;  // (-0 + -0) + -0 must stay -0
+        hw(0, 0) = -0.0;
+        bias(0, 0) = -0.0;
+      }
+      Matrix pre(batch, 4 * hidden);
+      for (size_t r = 0; r < batch; ++r) {
+        for (size_t c = 0; c < 4 * hidden; ++c) {
+          pre(r, c) = (xw(r, c) + hw(r, c)) + bias(0, c);
+        }
+      }
+      const Matrix zero_hh(batch, 4 * hidden, -0.0);
+      const Matrix zero_bias(1, 4 * hidden, -0.0);
+      for (SimdLevel level : SupportedLevels()) {
+        Matrix act_ref = pre;
+        Matrix h_ref(batch, hidden), c_ref(batch, hidden);
+        Matrix tc_ref(batch, hidden);
+        LstmCellForward(level, batch, hidden, act_ref.data(), zero_hh.data(),
+                        zero_bias.data(), c_prev.data(), hidden,
+                        h_ref.data(), hidden, c_ref.data(), hidden,
+                        tc_ref.data());
+        Matrix act = xw;
+        Matrix h(batch, hidden), c(batch, hidden), tc(batch, hidden);
+        LstmCellForward(level, batch, hidden, act.data(), hw.data(),
+                        bias.data(), c_prev.data(), hidden, h.data(), hidden,
+                        c.data(), hidden, tc.data());
+        for (size_t i = 0; i < act.size(); ++i) {
+          ASSERT_EQ(Bits(act_ref[i]), Bits(act[i]))
+              << LevelName(level) << " H=" << hidden << " B=" << batch
+              << " gate " << i;
+        }
+        for (size_t i = 0; i < h.size(); ++i) {
+          ASSERT_EQ(Bits(h_ref[i]), Bits(h[i])) << LevelName(level) << " h";
+          ASSERT_EQ(Bits(c_ref[i]), Bits(c[i])) << LevelName(level) << " c";
+          ASSERT_EQ(Bits(tc_ref[i]), Bits(tc[i]))
+              << LevelName(level) << " tanh_c";
+        }
+      }
+    }
+  }
 }
 
 TEST(LstmKernelTest, ForwardMatchesScalarWithinBound) {
@@ -585,13 +725,15 @@ TEST(LstmKernelTest, ForwardMatchesScalarWithinBound) {
     Matrix h_ref(f.batch, hidden), c_ref(f.batch, hidden);
     Matrix tc_ref(f.batch, hidden);
     LstmCellForward(SimdLevel::kScalar, f.batch, hidden, act_ref.data(),
-                    f.c_prev.data(), hidden, h_ref.data(), hidden,
-                    c_ref.data(), hidden, tc_ref.data());
+                    f.zero_hh.data(), f.zero_bias.data(), f.c_prev.data(),
+                    hidden, h_ref.data(), hidden, c_ref.data(), hidden,
+                    tc_ref.data());
     for (SimdLevel level : SupportedLevels()) {
       Matrix act = f.gates;
       Matrix h(f.batch, hidden), c(f.batch, hidden), tc(f.batch, hidden);
-      LstmCellForward(level, f.batch, hidden, act.data(), f.c_prev.data(),
-                      hidden, h.data(), hidden, c.data(), hidden, tc.data());
+      LstmCellForward(level, f.batch, hidden, act.data(), f.zero_hh.data(),
+                      f.zero_bias.data(), f.c_prev.data(), hidden, h.data(),
+                      hidden, c.data(), hidden, tc.data());
       for (size_t i = 0; i < act.size(); ++i) {
         EXPECT_LE(UlpDistance(act_ref[i], act[i]), 4u)
             << LevelName(level) << " activated gate " << i;
@@ -617,7 +759,8 @@ TEST(LstmKernelTest, ForwardRowsIndependentOfBatchSize) {
   for (SimdLevel level : SupportedLevels()) {
     Matrix act_full = f.gates;
     Matrix h_full(f.batch, hidden), c_full(f.batch, hidden);
-    LstmCellForward(level, f.batch, hidden, act_full.data(), f.c_prev.data(),
+    LstmCellForward(level, f.batch, hidden, act_full.data(),
+                    f.zero_hh.data(), f.zero_bias.data(), f.c_prev.data(),
                     hidden, h_full.data(), hidden, c_full.data(), hidden,
                     nullptr);
     for (size_t r = 0; r < f.batch; ++r) {
@@ -630,9 +773,9 @@ TEST(LstmKernelTest, ForwardRowsIndependentOfBatchSize) {
         cp_row(0, j) = f.c_prev(r, j);
       }
       Matrix h_row(1, hidden), c_row(1, hidden);
-      LstmCellForward(level, 1, hidden, act_row.data(), cp_row.data(),
-                      hidden, h_row.data(), hidden, c_row.data(), hidden,
-                      nullptr);
+      LstmCellForward(level, 1, hidden, act_row.data(), f.zero_hh.data(),
+                      f.zero_bias.data(), cp_row.data(), hidden,
+                      h_row.data(), hidden, c_row.data(), hidden, nullptr);
       for (size_t j = 0; j < hidden; ++j) {
         EXPECT_EQ(h_full(r, j), h_row(0, j))
             << LevelName(level) << " h row " << r;
@@ -651,8 +794,8 @@ TEST(LstmKernelTest, BackwardBitIdenticalAcrossLevels) {
   Matrix act = f.gates;
   Matrix h(batch, hidden), c(batch, hidden), tc(batch, hidden);
   LstmCellForward(SimdLevel::kScalar, batch, hidden, act.data(),
-                  f.c_prev.data(), hidden, h.data(), hidden, c.data(),
-                  hidden, tc.data());
+                  f.zero_hh.data(), f.zero_bias.data(), f.c_prev.data(),
+                  hidden, h.data(), hidden, c.data(), hidden, tc.data());
   Rng rng(0xEF);
   Matrix dh(batch, hidden), dc(batch, hidden);
   FillUniform(&dh, &rng, -1.0, 1.0);
@@ -1023,6 +1166,8 @@ TEST(ParallelKernelTest, LstmCellBitIdenticalAcrossThreadCounts) {
   std::vector<double> gates0(batch * 4 * hidden);
   std::vector<double> c_prev(batch * hidden);
   std::vector<double> dh(batch * hidden), dc(batch * hidden);
+  const std::vector<double> zero_hh(batch * 4 * hidden, -0.0);
+  const std::vector<double> zero_bias(4 * hidden, -0.0);
   for (double& v : gates0) v = rng.Uniform(-2.0, 2.0);
   for (double& v : c_prev) v = rng.Uniform(-1.0, 1.0);
   for (double& v : dh) v = rng.Uniform(-1.0, 1.0);
@@ -1042,8 +1187,9 @@ TEST(ParallelKernelTest, LstmCellBitIdenticalAcrossThreadCounts) {
       r.dgates.assign(batch * 4 * hidden, 0.0);
       r.dc_prev.assign(batch * hidden, 0.0);
       LstmCellForward(ActiveLevel(), batch, hidden, r.act.data(),
-                      c_prev.data(), hidden, r.h.data(), hidden, r.c.data(),
-                      hidden, r.tanh_c.data());
+                      zero_hh.data(), zero_bias.data(), c_prev.data(), hidden,
+                      r.h.data(), hidden, r.c.data(), hidden,
+                      r.tanh_c.data());
       LstmCellBackward(ActiveLevel(), batch, hidden, r.act.data(),
                        c_prev.data(), hidden, r.tanh_c.data(), dh.data(),
                        hidden, dc.data(), hidden, r.dgates.data(),

@@ -99,9 +99,11 @@ TEST(LstmTest, TapeAndRawAgree) {
   st = cell.Step(&tape, tape.Constant(x1), st);
   st = cell.Step(&tape, tape.Constant(x2), st);
 
+  LstmCell::Runner runner(cell);
   auto raw = cell.ZeroRawState(2);
-  raw = cell.Step(x1, raw);
-  raw = cell.Step(x2, raw);
+  LstmCell::RawState next;
+  runner.Step(x1, raw, &next);
+  runner.Step(x2, next, &raw);
 
   for (size_t i = 0; i < raw.h.size(); ++i) {
     EXPECT_NEAR(st.h.value()[i], raw.h[i], 1e-12);
@@ -115,22 +117,88 @@ TEST(LstmTest, StateShapes) {
   auto raw = cell.ZeroRawState(4);
   EXPECT_EQ(raw.h.rows(), 4u);
   EXPECT_EQ(raw.h.cols(), 8u);
-  raw = cell.Step(RandomMatrix(4, 2, &rng), raw);
-  EXPECT_EQ(raw.h.rows(), 4u);
-  EXPECT_EQ(raw.c.cols(), 8u);
+  LstmCell::Runner runner(cell);
+  LstmCell::RawState next;
+  runner.Step(RandomMatrix(4, 2, &rng), raw, &next);
+  EXPECT_EQ(next.h.rows(), 4u);
+  EXPECT_EQ(next.c.rows(), 4u);
+  EXPECT_EQ(next.c.cols(), 8u);
 }
 
 TEST(LstmTest, HiddenStateBounded) {
   // h = o * tanh(c) is always in (-1, 1).
   Rng rng(7);
   LstmCell cell(2, 4, &rng);
+  LstmCell::Runner runner(cell);
   auto raw = cell.ZeroRawState(1);
+  LstmCell::RawState next;
   for (int t = 0; t < 50; ++t) {
-    raw = cell.Step(RandomMatrix(1, 2, &rng, 3.0), raw);
+    runner.Step(RandomMatrix(1, 2, &rng, 3.0), raw, &next);
+    std::swap(raw, next);
     for (size_t i = 0; i < raw.h.size(); ++i) {
       EXPECT_LT(std::fabs(raw.h[i]), 1.0);
     }
   }
+}
+
+// A cell state whose shape disagrees with the batch must fail the shape
+// check, not read past the end of the smaller buffer.
+TEST(LstmDeathTest, RawStepRejectsMismatchedState) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(9);
+  LstmCell cell(3, 4, &rng);
+  LstmCell::Runner runner(cell);
+  LstmCell::RawState next;
+  const Matrix x(5, 3);
+  const LstmCell::RawState short_c{Matrix(5, 4), Matrix(1, 4)};
+  EXPECT_DEATH(runner.Step(x, short_c, &next), "shape mismatch");
+  const LstmCell::RawState short_h{Matrix(1, 4), Matrix(5, 4)};
+  EXPECT_DEATH(runner.Step(x, short_h, &next), "shape mismatch");
+  const LstmCell::RawState wide_c{Matrix(5, 4), Matrix(5, 5)};
+  EXPECT_DEATH(runner.Step(x, wide_c, &next), "shape mismatch");
+}
+
+TEST(LstmDeathTest, QuantizedRawStepRejectsMismatchedState) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(10);
+  LstmCell cell(3, 4, &rng);
+  // f32 payloads of the cell's own weights.
+  const std::vector<Parameter*> params = cell.Params();
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<tensor::QTensorView> views;
+  for (size_t i = 0; i < 2; ++i) {
+    const Matrix& w = params[i]->value;
+    payloads.emplace_back(tensor::PayloadBytes(tensor::DType::kF32, w.size()));
+    tensor::EncodePayload(tensor::DType::kF32, w.data(), w.size(),
+                          payloads.back().data());
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    const Matrix& w = params[i]->value;
+    views.push_back({tensor::DType::kF32, w.rows(), w.cols(),
+                     payloads[i].data(), payloads[i].size()});
+  }
+  ASSERT_TRUE(cell.SetQuantizedWeights(views[0], views[1]).ok());
+  LstmCell::Runner runner(cell);
+  LstmCell::RawState next;
+  const Matrix x(5, 3);
+  const LstmCell::RawState short_h{Matrix(1, 4), Matrix(5, 4)};
+  EXPECT_DEATH(runner.Step(x, short_h, &next), "shape mismatch");
+  const LstmCell::RawState short_c{Matrix(5, 4), Matrix(1, 4)};
+  EXPECT_DEATH(runner.Step(x, short_c, &next), "shape mismatch");
+}
+
+TEST(LstmDeathTest, TapeStepRejectsMismatchedState) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(11);
+  LstmCell cell(3, 4, &rng);
+  Tape tape;
+  const Var x = tape.Constant(Matrix(5, 3));
+  const LstmCell::State short_c{tape.Constant(Matrix(5, 4)),
+                                tape.Constant(Matrix(1, 4))};
+  EXPECT_DEATH(cell.Step(&tape, x, short_c), "shape mismatch");
+  const LstmCell::State short_h{tape.Constant(Matrix(1, 4)),
+                                tape.Constant(Matrix(5, 4))};
+  EXPECT_DEATH(cell.Step(&tape, x, short_h), "shape mismatch");
 }
 
 TEST(LstmTest, GradientsFlowThroughTime) {

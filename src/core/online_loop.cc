@@ -1,17 +1,12 @@
 #include "core/online_loop.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <optional>
 #include <unordered_set>
+#include <utility>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "core/evaluator.h"
-#include "forecast/rolling_wql.h"
-#include "stream/ring.h"
-#include "ts/metrics.h"
+#include "core/tenant_controller.h"
 
 namespace rpas::core {
 
@@ -85,165 +80,56 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
 
   obs::TraceBuffer* trace = obs::ResolveTrace(options.trace);
   obs::Span run_span(trace, "online.run", static_cast<int64_t>(num_steps));
+  obs::MetricsRegistry* metrics = obs::ResolveRegistry(options.metrics);
 
   OnlineLoopResult result;
-  result.allocation.reserve(num_steps);
   result.steps.reserve(num_steps);
 
-  // Streaming-ingest state (incremental mode only). Workload points flow
-  // producer-side into the ring as they are realized; each planning round
-  // polls the cursor and folds the new points into the forecaster.
-  std::unique_ptr<stream::IngestRing> ring;
-  std::unique_ptr<stream::StreamCursor> cursor;
-  std::unique_ptr<stream::IncrementalRefresher> refresher;
-  std::vector<double> stall_queue;  // points held back by a producer stall
-  std::vector<double> poll_buf;
+  TenantController::Options controller_options;
+  controller_options.config = manager.config();
+  controller_options.degradation = options.degradation;
+  controller_options.cluster = options.cluster;
+  controller_options.faults = options.faults;
   if (streaming) {
-    ring = std::make_unique<stream::IngestRing>(
-        options.streaming.ring_capacity);
-    cursor = std::make_unique<stream::StreamCursor>(ring.get());
-    refresher = std::make_unique<stream::IncrementalRefresher>(
-        options.streaming.refresh_target, options.streaming.refresher);
-    RPAS_RETURN_IF_ERROR(refresher->Prime(series.Slice(0, eval_start)));
+    controller_options.ring_capacity = options.streaming.ring_capacity;
+    controller_options.refresh_target = options.streaming.refresh_target;
+    controller_options.refresher = options.streaming.refresher;
   }
-  // Drift guard input: the forecast of the newest fresh plan, scored
-  // against however many of its steps have realized by the next round.
-  std::optional<ts::QuantileForecast> live_forecast;
-  size_t live_forecast_start = eval_start;
-
-  // Adaptive-selection state (kAdaptive only). The `active` pointer is the
-  // single planning indirection: in kOff mode it stays `&manager` for the
-  // whole run, so the off path is bit-identical to the pre-selection loop.
-  const RobustAutoScalingManager* active = &manager;
-  std::unique_ptr<select::WorkloadClassifier> classifier;
-  std::unique_ptr<select::AdaptiveSelector> selector;
-  std::unique_ptr<select::PreScaler> prescaler;
-  std::unique_ptr<forecast::RollingWql> rolling;
   if (selecting) {
-    classifier = std::make_unique<select::WorkloadClassifier>(
-        options.selection.classifier);
-    // Seed the pattern — and the starting tier — from observed history.
-    std::vector<double> history_window(
-        series.values.begin(), series.values.begin() +
-            static_cast<long>(eval_start));
-    classifier->PushAll(history_window);
-    select::SelectorOptions selector_options = options.selection.selector;
-    selector_options.ladder_size = options.selection.ladder.size();
-    selector = std::make_unique<select::AdaptiveSelector>(selector_options);
-    selector->SeedFromPattern(classifier->Classify());
-    active = options.selection.ladder[selector->tier()];
-    if (options.selection.prescale) {
-      prescaler = std::make_unique<select::PreScaler>(
-          options.selection.prescaler, manager.config().min_nodes);
-    }
-    rolling = std::make_unique<forecast::RollingWql>(
-        selector_options.wql_window);
+    controller_options.ladder_size = options.selection.ladder.size();
+    controller_options.classifier = options.selection.classifier;
+    controller_options.selector = options.selection.selector;
+    controller_options.prescale = options.selection.prescale;
+    controller_options.prescaler = options.selection.prescaler;
   }
-
-  // Forecast staleness, tracked in both modes: steps since the newest
-  // fresh (non-stale, non-fallback) plan landed.
-  size_t last_fresh_step = 0;
-  uint64_t staleness_sum = 0;
-  obs::MetricsRegistry* metrics = obs::ResolveRegistry(options.metrics);
-  obs::Histogram* staleness_hist =
+  controller_options.staleness_hist =
       metrics->GetHistogram("online.staleness_points");
+  controller_options.fault_log = &result.fault_events;
+  RPAS_ASSIGN_OR_RETURN(
+      std::unique_ptr<TenantController> controller,
+      TenantController::Create(series, eval_start,
+                               std::move(controller_options), &result));
 
   const bool inject = options.faults.Any();
-  const simdb::FaultInjector injector(options.faults);
-  const DegradationPolicy& policy = options.degradation;
-
-  simdb::Cluster cluster(options.cluster);
-  std::vector<int> current_plan;
-  std::vector<int> last_good_plan;
-  bool plan_is_fallback = false;
-  size_t plan_cursor = 0;
   double uncertainty_sum = 0.0;
   size_t uncertainty_n = 0;
-  int current_nodes = options.cluster.initial_nodes;
-
-  // Trailing realized workloads feeding the reactive fallback, seeded from
-  // the observed history so degradation works even on the very first round.
-  std::vector<double> recent;
-  const size_t window = std::max<size_t>(policy.reactive_window, 1);
-  for (size_t back = std::min(window, eval_start); back > 0; --back) {
-    recent.push_back(series.values[eval_start - back]);
-  }
-
   for (size_t i = 0; i < num_steps; ++i) {
-    const size_t t = eval_start + i;
-    simdb::StepFaults faults;  // default: no fault
-    if (inject) {
-      faults = injector.FaultsForStep(i);
-    }
-    const size_t replan =
-        options.replan_every > 0 ? options.replan_every : SIZE_MAX;
-    if (current_plan.empty() || plan_cursor >= current_plan.size() ||
-        (options.replan_every > 0 && plan_cursor >= replan)) {
+    if (controller->PlanExpired(options.replan_every)) {
       // ---- Planning round, with graceful degradation under faults. ----
       obs::Span plan_span(trace, "online.plan", static_cast<int64_t>(i));
-      plan_is_fallback = false;
-      ++result.plans_made;
-
-      // Adaptive selection: score the expiring plan's forecast, feed the
-      // selector one observed round (wQL + whether this round's degradation
-      // path is about to fire), and route planning to the resulting tier.
-      // Decisions are a pure function of the observed sequence — no RNG —
-      // so enabling selection cannot perturb any seeded schedule.
+      const TenantController::Round round = controller->BeginRound(i);
+      // In kOff mode planning always goes to `manager`, so the off path is
+      // bit-identical to the pre-selection loop.
+      const RobustAutoScalingManager* active =
+          selecting ? options.selection.ladder[controller->tier()] : &manager;
       if (selecting) {
-        double wql = 0.0;
-        bool wql_valid = false;
-        if (live_forecast.has_value() && t > live_forecast_start) {
-          const size_t elapsed = std::min<size_t>(
-              t - live_forecast_start, live_forecast->Horizon());
-          const std::vector<double> actual(
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start),
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start + elapsed));
-          wql = ts::PrefixMeanWql(*live_forecast, actual);
-          wql_valid = true;
-          rolling->Observe(wql);
-        }
-        const int about_to_fail = faults.forecaster_timeout_attempts +
-                                  (faults.forecaster_nan ? 1 : 0);
-        const bool round_faulted =
-            inject &&
-            ((faults.stale_forecast && !last_good_plan.empty()) ||
-             about_to_fail > policy.max_retries);
-        selector->ObserveRound(wql, wql_valid, round_faulted);
-        active = options.selection.ladder[selector->tier()];
-        result.selection.tier_by_round.push_back(selector->tier());
+        result.selection.tier_by_round.push_back(controller->tier());
       }
-
-      // Streaming refresh: poll the ring for points ingested since the
-      // last round and fold them into the forecaster before planning.
-      // A stalled producer leaves the cursor behind `t`, so the planner
-      // sees (and plans from) a correspondingly shorter history.
-      size_t observed_points = i;  // kBatch: everything realized so far
       if (streaming) {
-        // Score the expiring plan's forecast against what realized, so the
-        // refresher's drift guard can schedule a full retrain.
-        if (live_forecast.has_value() && t > live_forecast_start) {
-          const size_t elapsed = std::min<size_t>(
-              t - live_forecast_start, live_forecast->Horizon());
-          const std::vector<double> actual(
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start),
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start + elapsed));
-          refresher->ObserveForecastLoss(
-              ts::PrefixMeanWql(*live_forecast, actual));
-        }
+        // Fold the points ingested since the last round into the
+        // forecaster before planning.
         rpas::Stopwatch refresh_watch;
-        poll_buf.clear();
-        const stream::StreamCursor::Batch batch = cursor->Poll(&poll_buf);
-        observed_points = static_cast<size_t>(cursor->next_seq());
-        const ts::TimeSeries observed =
-            series.Slice(0, eval_start + observed_points);
-        RPAS_ASSIGN_OR_RETURN(
-            const stream::RefreshOutcome outcome,
-            refresher->Refresh(observed, batch.count, batch.missed));
-        (void)outcome;
+        RPAS_RETURN_IF_ERROR(controller->Ingest());
         const double refresh_ms = refresh_watch.ElapsedMillis();
         result.round_refresh_millis.push_back(refresh_ms);
         result.total_refresh_millis += refresh_ms;
@@ -252,98 +138,58 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
             ->Observe(refresh_ms);
       }
       rpas::Stopwatch plan_watch;
-      const int failed_attempts =
-          faults.forecaster_timeout_attempts + (faults.forecaster_nan ? 1 : 0);
-      if (inject && faults.stale_forecast && !last_good_plan.empty()) {
-        // The forecaster served its cached previous forecast; the round
-        // silently replays the last known-good plan from its start.
-        current_plan = last_good_plan;
-        plan_cursor = 0;
-        ++result.stale_plans;
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kStaleForecast, simdb::FaultAction::kNone,
-             0, 0.0});
-      } else if (inject && failed_attempts > policy.max_retries) {
-        // Bounded retry exhausted: degrade instead of aborting.
-        ++result.forecaster_faults;
-        ++result.fallback_plans;
-        const simdb::FaultAction action =
-            last_good_plan.empty() ? simdb::FaultAction::kFallbackReactive
-                                   : simdb::FaultAction::kFallbackLastGood;
-        result.fault_events.push_back(
-            {i,
-             faults.forecaster_timeout_attempts > 0
-                 ? simdb::FaultType::kForecasterTimeout
-                 : simdb::FaultType::kForecasterNan,
-             action, failed_attempts, 0.0});
-        current_plan = BuildFallbackPlan(recent, last_good_plan,
-                                         current_nodes, manager.config(),
-                                         policy);
-        plan_cursor = 0;
-        plan_is_fallback = true;
-      } else {
-        // Either a clean round, or a faulted one whose
-        // (failed_attempts + 1)-th attempt lands within the retry budget —
-        // the successful attempt's output is what PlanNext returns. In
-        // streaming mode the planner sees only what the stream delivered
-        // (a stalled producer starves it); in batch mode that is always
-        // everything realized so far, making the two modes identical when
-        // no ingest faults fire.
-        ts::TimeSeries history =
-            series.Slice(0, eval_start + observed_points);
-        auto plan_or = active->PlanNext(history, current_nodes);
-        if (!plan_or.ok()) {
-          if (!inject) {
-            return plan_or.status();
+      const simdb::FaultAction fallback_action =
+          controller->has_last_good() ? simdb::FaultAction::kFallbackLastGood
+                                      : simdb::FaultAction::kFallbackReactive;
+      switch (round.plan) {
+        case RoundPlan::kStale:
+          // The forecaster served its cached previous forecast; the round
+          // silently replays the last known-good plan from its start.
+          controller->InstallStale();
+          result.fault_events.push_back({i, simdb::FaultType::kStaleForecast,
+                                         simdb::FaultAction::kNone, 0, 0.0});
+          break;
+        case RoundPlan::kFallback:
+          // Bounded retry exhausted: degrade instead of aborting.
+          ++result.forecaster_faults;
+          result.fault_events.push_back({i, round.fault, fallback_action,
+                                         round.failed_attempts, 0.0});
+          controller->InstallFallback();
+          break;
+        case RoundPlan::kFresh: {
+          // Either a clean round, or a faulted one whose
+          // (failed_attempts + 1)-th attempt lands within the retry budget
+          // — the successful attempt's output is what PlanNext returns.
+          auto plan_or = active->PlanNext(
+              series.Slice(0, controller->ObservedEnd()),
+              controller->current_nodes());
+          if (!plan_or.ok()) {
+            if (!inject) {
+              return plan_or.status();
+            }
+            // A genuine planner error under fault injection is handled by
+            // the same degradation path: record, fall back, keep serving.
+            result.fault_events.push_back({i, simdb::FaultType::kPlannerError,
+                                           fallback_action,
+                                           round.failed_attempts, 0.0});
+            controller->InstallFallback();
+            break;
           }
-          // A genuine planner error under fault injection is handled by
-          // the same degradation path: record, fall back, keep serving.
-          ++result.fallback_plans;
-          const simdb::FaultAction action =
-              last_good_plan.empty() ? simdb::FaultAction::kFallbackReactive
-                                     : simdb::FaultAction::kFallbackLastGood;
-          result.fault_events.push_back({i, simdb::FaultType::kPlannerError,
-                                         action, failed_attempts, 0.0});
-          current_plan = BuildFallbackPlan(recent, last_good_plan,
-                                           current_nodes, manager.config(),
-                                           policy);
-          plan_cursor = 0;
-          plan_is_fallback = true;
-        } else {
           RobustAutoScalingManager::Plan plan = std::move(plan_or).value();
-          current_plan = std::move(plan.nodes);
-          if (current_plan.empty()) {
-            // Indexing an empty plan below would be out-of-bounds UB; a
-            // planner that yields no steps is a contract violation.
-            return Status::Internal(
-                "online loop: planner returned an empty plan");
-          }
-          if (failed_attempts > 0) {
+          if (round.failed_attempts > 0) {
             ++result.forecaster_faults;
             ++result.retried_plans;
             result.fault_events.push_back(
-                {i,
-                 faults.forecaster_timeout_attempts > 0
-                     ? simdb::FaultType::kForecasterTimeout
-                     : simdb::FaultType::kForecasterNan,
-                 simdb::FaultAction::kRetrySucceeded, failed_attempts, 0.0});
+                {i, round.fault, simdb::FaultAction::kRetrySucceeded,
+                 round.failed_attempts, 0.0});
           }
-          last_good_plan = current_plan;
-          plan_cursor = 0;
           for (double u : plan.uncertainty) {
             uncertainty_sum += u;
             ++uncertainty_n;
           }
-          // A genuinely fresh forecast landed: reset staleness and arm the
-          // drift guard with the forecast to score next round.
-          last_fresh_step = i;
-          live_forecast = std::move(plan.forecast);
-          live_forecast_start = t;
-          if (prescaler) {
-            // The fresh quantile plan is the spike predictor: schedule a
-            // floor raise `lead_steps` before any predicted spike.
-            prescaler->ObservePlan(current_plan, i);
-          }
+          RPAS_RETURN_IF_ERROR(controller->InstallFresh(
+              std::move(plan.nodes), std::move(plan.forecast)));
+          break;
         }
       }
       const double plan_ms = plan_watch.ElapsedMillis();
@@ -352,213 +198,55 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
       metrics->GetHistogram("online.plan_ms", {}, /*deterministic=*/false)
           ->Observe(plan_ms);
     }
-    int target = current_plan[plan_cursor++];
-    if (prescaler) {
-      // Monotone merge: the pre-scale floor can only raise the decision,
-      // never fight the reactive plan downward.
-      target = prescaler->Merge(target, i);
-    }
-    const double realized = series.values[t];
-    simdb::StepStats stats = cluster.Step(target, realized, faults);
-    current_nodes = cluster.NumNodes();
-    if (inject) {
-      if (stats.nodes_delayed > 0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kActuationDelay,
-             simdb::FaultAction::kNone, 0,
-             static_cast<double>(stats.nodes_delayed)});
-      }
-      if (stats.nodes_denied > 0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kPartialScaleOut,
-             simdb::FaultAction::kNone, 0,
-             static_cast<double>(stats.nodes_denied)});
-      }
-      if (faults.crash_nodes > 0 && stats.nodes_failed > 0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kNodeCrash, simdb::FaultAction::kNone, 0,
-             static_cast<double>(stats.nodes_failed)});
-      }
-      if (faults.workload_multiplier != 1.0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kWorkloadSpike, simdb::FaultAction::kNone,
-             0, faults.workload_multiplier});
-      }
-      if (faults.Any()) {
-        ++result.faulted_steps;
-      }
-      if (plan_is_fallback) {
-        ++result.degraded_steps;
-      }
-    }
-    recent.push_back(stats.workload);
-    if (recent.size() > window) {
-      recent.erase(recent.begin());
-    }
-    if (classifier) {
-      classifier->Push(stats.workload);
-    }
-    result.allocation.push_back(target);
-    result.steps.push_back(stats);
-
-    // Forecast staleness this step: age of the newest fresh plan.
-    const uint64_t staleness = static_cast<uint64_t>(i - last_fresh_step);
-    staleness_sum += staleness;
-    result.max_staleness_points =
-        std::max(result.max_staleness_points, staleness);
-    staleness_hist->Observe(static_cast<double>(staleness));
-
-    if (streaming) {
-      // Producer side: the realized point enters the stream *after* the
-      // step, so the next planning round can consume it. A stalled
-      // producer queues points and burst-flushes when the stall clears.
-      const double point = series.values[t];
-      if (faults.ingest_stalled) {
-        stall_queue.push_back(point);
-        ++result.ingest_stall_steps;
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kIngestStall, simdb::FaultAction::kNone, 0,
-             static_cast<double>(stall_queue.size())});
-      } else {
-        if (!stall_queue.empty()) {
-          for (double queued : stall_queue) {
-            ring->Push(queued);
-            ++result.points_ingested;
-          }
-          ++result.ingest_bursts;
-          result.fault_events.push_back(
-              {i, simdb::FaultType::kIngestBurst, simdb::FaultAction::kNone,
-               0, static_cast<double>(stall_queue.size())});
-          stall_queue.clear();
-        }
-        ring->Push(point);
-        ++result.points_ingested;
-      }
-    }
+    result.steps.push_back(controller->Step(i).stats);
   }
 
-  // Aggregate outcomes. Under workload-spike faults the realized demand is
-  // what the cluster actually saw (stats.workload), so provisioning rates
-  // report performance against the faulted workload.
-  std::vector<double> realized;
-  realized.reserve(num_steps);
-  for (const simdb::StepStats& s : result.steps) {
-    realized.push_back(s.workload);
-  }
-  ScalingConfig config = manager.config();
-  const ProvisioningReport provisioning =
-      EvaluateAllocation(realized, result.allocation, config);
-  result.under_provision_rate = provisioning.under_provision_rate;
-  result.over_provision_rate = provisioning.over_provision_rate;
-
-  double util_sum = 0.0;
-  size_t slo = 0;
-  for (const simdb::StepStats& s : result.steps) {
-    util_sum += s.avg_utilization;
-    if (s.slo_violated) {
-      ++slo;
-    }
-  }
-  result.mean_utilization = util_sum / static_cast<double>(num_steps);
-  result.slo_violation_rate =
-      static_cast<double>(slo) / static_cast<double>(num_steps);
-  result.total_node_steps = cluster.total_node_steps();
-  result.scale_events = cluster.total_scale_events();
-  result.direction_changes = cluster.total_direction_changes();
+  controller->Finish();
   result.mean_uncertainty =
       uncertainty_n > 0 ? uncertainty_sum / static_cast<double>(uncertainty_n)
                         : 0.0;
-  result.mean_staleness_points =
-      static_cast<double>(staleness_sum) / static_cast<double>(num_steps);
-  if (streaming) {
-    result.points_pending = static_cast<uint64_t>(stall_queue.size());
-    // The cursor's missed count, not ring->dropped(): the tail advances
-    // past already-read slots too, and only unread overwrites are losses.
-    result.points_dropped = cursor->missed_total();
-    result.refresh = refresher->stats();
-  }
-  if (selecting) {
-    if (prescaler) {
-      // Force rollback of any in-flight floor raise so activations always
-      // balance rollbacks at the end of a run.
-      prescaler->Finish();
-      result.selection.prescaler = prescaler->stats();
-    }
-    result.selection.enabled = true;
-    result.selection.final_tier = selector->tier();
-    result.selection.pattern = classifier->Classify();
-    result.selection.rolling_wql = rolling->Mean();
-    result.selection.selector = selector->stats();
-  }
 
   // Registry counters are bulk-incremented from the finished result, so
   // they agree *exactly* with the OnlineLoopResult fields by construction
   // (see tests/obs_test.cc) and stay deterministic across thread counts.
-  metrics->GetCounter("online.steps")
-      ->Increment(static_cast<int64_t>(num_steps));
-  metrics->GetCounter("online.plans_made")
-      ->Increment(static_cast<int64_t>(result.plans_made));
-  metrics->GetCounter("online.forecaster_faults")
-      ->Increment(static_cast<int64_t>(result.forecaster_faults));
-  metrics->GetCounter("online.retried_plans")
-      ->Increment(static_cast<int64_t>(result.retried_plans));
-  metrics->GetCounter("online.fallback_plans")
-      ->Increment(static_cast<int64_t>(result.fallback_plans));
-  metrics->GetCounter("online.stale_plans")
-      ->Increment(static_cast<int64_t>(result.stale_plans));
-  metrics->GetCounter("online.faulted_steps")
-      ->Increment(static_cast<int64_t>(result.faulted_steps));
-  metrics->GetCounter("online.degraded_steps")
-      ->Increment(static_cast<int64_t>(result.degraded_steps));
-  metrics->GetCounter("online.fault_events")
-      ->Increment(static_cast<int64_t>(result.fault_events.size()));
+  const auto count = [metrics](const char* name, uint64_t value) {
+    metrics->GetCounter(name)->Increment(static_cast<int64_t>(value));
+  };
+  count("online.steps", num_steps);
+  count("online.plans_made", result.plans_made);
+  count("online.forecaster_faults", result.forecaster_faults);
+  count("online.retried_plans", result.retried_plans);
+  count("online.fallback_plans", result.fallback_plans);
+  count("online.stale_plans", result.stale_plans);
+  count("online.faulted_steps", result.faulted_steps);
+  count("online.degraded_steps", result.degraded_steps);
+  count("online.fault_events", result.fault_events.size());
   if (streaming) {
-    metrics->GetCounter("stream.ingested")
-        ->Increment(static_cast<int64_t>(result.points_ingested));
-    metrics->GetCounter("stream.dropped")
-        ->Increment(static_cast<int64_t>(result.points_dropped));
-    metrics->GetCounter("stream.pending")
-        ->Increment(static_cast<int64_t>(result.points_pending));
-    metrics->GetCounter("stream.refresh.recursive_updates")
-        ->Increment(static_cast<int64_t>(result.refresh.recursive_updates));
-    metrics->GetCounter("stream.refresh.fine_tunes")
-        ->Increment(static_cast<int64_t>(result.refresh.fine_tunes));
-    metrics->GetCounter("stream.refresh.gradient_steps")
-        ->Increment(static_cast<int64_t>(result.refresh.gradient_steps));
-    metrics->GetCounter("stream.refresh.resyncs")
-        ->Increment(static_cast<int64_t>(result.refresh.resyncs));
-    metrics->GetCounter("stream.refresh.fallback_retrains")
-        ->Increment(static_cast<int64_t>(result.refresh.full_retrains));
-    metrics->GetCounter("online.ingest_stall_steps")
-        ->Increment(static_cast<int64_t>(result.ingest_stall_steps));
-    metrics->GetCounter("online.ingest_bursts")
-        ->Increment(static_cast<int64_t>(result.ingest_bursts));
+    count("stream.ingested", result.points_ingested);
+    count("stream.dropped", result.points_dropped);
+    count("stream.pending", result.points_pending);
+    count("stream.refresh.recursive_updates", result.refresh.recursive_updates);
+    count("stream.refresh.fine_tunes", result.refresh.fine_tunes);
+    count("stream.refresh.gradient_steps", result.refresh.gradient_steps);
+    count("stream.refresh.resyncs", result.refresh.resyncs);
+    count("stream.refresh.fallback_retrains", result.refresh.full_retrains);
+    count("online.ingest_stall_steps", result.ingest_stall_steps);
+    count("online.ingest_bursts", result.ingest_bursts);
   }
   if (selecting) {
     const select::SelectorStats& sel = result.selection.selector;
-    metrics->GetCounter("select.rounds")
-        ->Increment(static_cast<int64_t>(sel.rounds));
-    metrics->GetCounter("select.switches")
-        ->Increment(static_cast<int64_t>(sel.switches));
-    metrics->GetCounter("select.promotions")
-        ->Increment(static_cast<int64_t>(sel.promotions));
-    metrics->GetCounter("select.probe_demotions")
-        ->Increment(static_cast<int64_t>(sel.probe_demotions));
-    metrics->GetCounter("select.fault_demotions")
-        ->Increment(static_cast<int64_t>(sel.fault_demotions));
-    metrics->GetCounter("select.drift_demotions")
-        ->Increment(static_cast<int64_t>(sel.drift_demotions));
+    count("select.rounds", sel.rounds);
+    count("select.switches", sel.switches);
+    count("select.promotions", sel.promotions);
+    count("select.probe_demotions", sel.probe_demotions);
+    count("select.fault_demotions", sel.fault_demotions);
+    count("select.drift_demotions", sel.drift_demotions);
     const select::PreScalerStats& pre = result.selection.prescaler;
-    metrics->GetCounter("select.prescale.spikes_detected")
-        ->Increment(static_cast<int64_t>(pre.spikes_detected));
-    metrics->GetCounter("select.prescale.activations")
-        ->Increment(static_cast<int64_t>(pre.activations));
-    metrics->GetCounter("select.prescale.rollbacks")
-        ->Increment(static_cast<int64_t>(pre.rollbacks));
-    metrics->GetCounter("select.prescale.timeout_rollbacks")
-        ->Increment(static_cast<int64_t>(pre.timeout_rollbacks));
-    metrics->GetCounter("select.prescale.floor_raised_steps")
-        ->Increment(static_cast<int64_t>(pre.floor_raised_steps));
+    count("select.prescale.spikes_detected", pre.spikes_detected);
+    count("select.prescale.activations", pre.activations);
+    count("select.prescale.rollbacks", pre.rollbacks);
+    count("select.prescale.timeout_rollbacks", pre.timeout_rollbacks);
+    count("select.prescale.floor_raised_steps", pre.floor_raised_steps);
   }
   return result;
 }
@@ -572,17 +260,8 @@ std::vector<obs::ScalingDecision> CollectDecisions(
   std::vector<obs::ScalingDecision> decisions;
   decisions.reserve(result.steps.size());
   for (const simdb::StepStats& stats : result.steps) {
-    obs::ScalingDecision d;
-    d.run = run;
-    d.step = static_cast<uint64_t>(stats.step);
-    d.target_nodes = stats.target_nodes;
-    d.active_nodes = stats.active_nodes;
-    d.workload = stats.workload;
-    d.utilization = stats.avg_utilization;
-    d.under_provisioned = stats.under_provisioned;
-    d.slo_violated = stats.slo_violated;
-    d.faulted = faulted_steps.count(stats.step) > 0;
-    decisions.push_back(std::move(d));
+    decisions.push_back(MakeScalingDecision(
+        stats, run, faulted_steps.count(stats.step) > 0));
   }
   return decisions;
 }

@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "core/evaluator.h"
 #include "core/scaling_config.h"
 #include "core/strategies.h"
-#include "simdb/cluster.h"
-#include "stream/ring.h"
-#include "ts/metrics.h"
+#include "core/tenant_controller.h"
 
 namespace rpas::serve {
 namespace {
@@ -26,45 +22,22 @@ constexpr uint64_t kClusterStream = 0xC105;
 constexpr uint64_t kFaultStream = 0xFA17;
 constexpr uint64_t kRequestStream = 0x5EED;
 
-/// Everything one simulated tenant carries across rounds.
+/// Everything the fleet keeps per tenant beside its controller.
 struct TenantState {
   ModelId model;
   size_t context_length = 0;
-  ts::TimeSeries series;  ///< history_steps + num_steps observations
-  core::ScalingConfig config;
-  std::unique_ptr<simdb::Cluster> cluster;
-  std::unique_ptr<simdb::FaultInjector> injector;  ///< null when inert
-  std::vector<int> plan;
-  std::vector<int> last_good_plan;
-  std::vector<double> recent;  ///< trailing realized workloads
-  int current_nodes = 1;
-  // Streaming ingest: realized workload flows through the tenant's ring
-  // each step and is drained by the cursor once per planning round.
-  std::unique_ptr<stream::IngestRing> ring;
-  std::unique_ptr<stream::StreamCursor> cursor;
-  uint64_t stream_points = 0;
-  // Forecast staleness, in steps since the round a fresh plan landed.
-  size_t last_fresh_step = 0;
-  uint64_t staleness_sum = 0;
-  uint64_t staleness_max = 0;
-  // Adaptive selection (selection.enabled only): classifier + selector +
-  // pre-scaler, and the newest fresh forecast kept for rolling-wQL scoring.
-  std::unique_ptr<select::WorkloadClassifier> classifier;
-  std::unique_ptr<select::AdaptiveSelector> selector;
-  std::unique_ptr<select::PreScaler> prescaler;
-  std::optional<ts::QuantileForecast> live_forecast;
-  size_t live_forecast_step = 0;  ///< absolute step of its first prediction
-  // Incremental refresh (kIncremental only): the tenant's private fitted
-  // forecaster and its refresher. Model staleness is tracked per round.
+  TenantScenario scenario;
+  /// kIncremental only: the private fitted forecaster the controller's
+  /// refresher keeps current.
   std::unique_ptr<forecast::Forecaster> refresh_model;
-  std::unique_ptr<stream::IncrementalRefresher> refresher;
+  /// The controller's account of the tenant's run (no per-step records).
+  core::OnlineLoopResult run;
+  /// Declared after the scenario, model and run it refers to, so it is
+  /// destroyed before them.
+  std::unique_ptr<core::TenantController> controller;
+  // Model staleness, tracked per round.
   uint64_t model_staleness_sum = 0;
   uint64_t model_staleness_max = 0;
-  // Per-step records for final provisioning evaluation.
-  std::vector<double> realized;
-  std::vector<int> allocation;
-  double utilization_sum = 0.0;
-  size_t slo_violations = 0;
   TenantSummary summary;
 };
 
@@ -80,13 +53,6 @@ struct Shard {
   std::unique_ptr<AdmissionController> admission;
   std::unique_ptr<BatchEngine> engine;
 };
-
-void PushRecent(TenantState* tenant, double workload, size_t window) {
-  tenant->recent.push_back(workload);
-  if (tenant->recent.size() > window) {
-    tenant->recent.erase(tenant->recent.begin());
-  }
-}
 
 void AccumulateCacheStats(const ModelRegistry::CacheStats& from,
                           ModelRegistry::CacheStats* into) {
@@ -117,6 +83,32 @@ size_t ShardOfTenant(uint64_t tenant_id, size_t num_shards) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   x ^= x >> 31;
   return static_cast<size_t>(x % num_shards);
+}
+
+TenantScenario MakeTenantScenario(const FleetOptions& options,
+                                  uint64_t tenant_id) {
+  TenantScenario scenario;
+  trace::SyntheticTraceGenerator generator(
+      options.profile, DeriveSeed(options.seed, kTraceStream + tenant_id));
+  scenario.series =
+      generator.GenerateCpu(options.history_steps + options.num_steps);
+  const std::vector<double>& values = scenario.series.values;
+  const double mean_history =
+      std::accumulate(values.begin(),
+                      values.begin() + static_cast<long>(options.history_steps),
+                      0.0) /
+      static_cast<double>(options.history_steps);
+  scenario.config.theta =
+      std::max(mean_history / options.theta_divisor, 1e-9);
+  scenario.cluster.node_capacity = scenario.config.theta;
+  scenario.cluster.seed = DeriveSeed(options.seed, kClusterStream + tenant_id);
+  scenario.cluster.metrics = options.metrics;
+  scenario.cluster.initial_nodes = core::RequiredNodes(
+      values[options.history_steps - 1], scenario.config);
+  scenario.faults = options.faults;
+  scenario.faults.seed =
+      DeriveSeed(options.faults.seed, kFaultStream + tenant_id);
+  return scenario;
 }
 
 Result<FleetResult> RunFleet(ModelRegistry* registry,
@@ -154,37 +146,29 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         "incremental refresh mode needs a refresh_model_factory");
   }
 
-  const core::DegradationPolicy& policy = options.degradation;
-  const size_t window = std::max<size_t>(policy.reactive_window, 1);
-
   // Warm-up pass: verify every referenced version loads and note its
   // context length (the request window size). One Acquire per distinct
   // model; these land in the cache stats as the setup cost of the fleet.
-  std::vector<size_t> model_context(models.size(), 0);
-  for (size_t m = 0; m < models.size(); ++m) {
-    RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const forecast::Forecaster> fc,
-                          registry->Acquire(models[m]));
-    model_context[m] = fc->ContextLength();
-    if (model_context[m] > options.history_steps) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: context length %zu exceeds history_steps %zu",
-          models[m].ToString().c_str(), model_context[m],
-          options.history_steps));
+  const auto context_lengths =
+      [&](const std::vector<ModelId>& ids) -> Result<std::vector<size_t>> {
+    std::vector<size_t> context;
+    for (const ModelId& id : ids) {
+      RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const forecast::Forecaster> fc,
+                            registry->Acquire(id));
+      context.push_back(fc->ContextLength());
+      if (context.back() > options.history_steps) {
+        return Status::InvalidArgument(StrFormat(
+            "%s: context length %zu exceeds history_steps %zu",
+            id.ToString().c_str(), context.back(), options.history_steps));
+      }
     }
-  }
+    return context;
+  };
+  RPAS_ASSIGN_OR_RETURN(const std::vector<size_t> model_context,
+                        context_lengths(models));
   const std::vector<ModelId>& ladder = options.selection.ladder;
-  std::vector<size_t> ladder_context(ladder.size(), 0);
-  for (size_t m = 0; m < ladder.size(); ++m) {
-    RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const forecast::Forecaster> fc,
-                          registry->Acquire(ladder[m]));
-    ladder_context[m] = fc->ContextLength();
-    if (ladder_context[m] > options.history_steps) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: context length %zu exceeds history_steps %zu",
-          ladder[m].ToString().c_str(), ladder_context[m],
-          options.history_steps));
-    }
-  }
+  RPAS_ASSIGN_OR_RETURN(const std::vector<size_t> ladder_context,
+                        context_lengths(ladder));
 
   // Shard topology: stable-hash tenant assignment, per-shard serving tier.
   const size_t num_shards = std::max<size_t>(options.num_shards, 1);
@@ -222,13 +206,11 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         std::make_unique<BatchEngine>(shard.registry, engine_options);
   }
 
-  // Per-tenant setup: independent synthetic workload, a cluster sized so
-  // the trace's swings move the node count, and an independent fault
-  // schedule. Every seed derives from the *global* tenant id, so the
-  // tenant's trajectory is independent of the shard topology. Setup is
-  // embarrassingly parallel across tenants.
+  // Per-tenant setup: a scenario (workload, cluster, fault schedule) whose
+  // seeds derive from the *global* tenant id, so the tenant's trajectory is
+  // independent of the shard topology, and a controller that carries the
+  // tenant across rounds. Setup is embarrassingly parallel across tenants.
   std::vector<TenantState> tenants(options.num_tenants);
-  const bool inject = options.faults.Any();
   std::vector<Status> setup_status(options.num_tenants);
   obs::MetricsRegistry* metrics = obs::ResolveRegistry(options.metrics);
   // Resolve the simdb.* instrument bundle once for the whole fleet: the
@@ -237,80 +219,37 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   // name-lookup mutex seven times — a cross-tenant serialization point.
   const simdb::Cluster::MetricHandles cluster_handles =
       simdb::Cluster::MetricHandles::Resolve(metrics);
+  // Observed once per tenant step inside the parallel shard phase —
+  // striped, so concurrent shards write per-thread-slot cache lines
+  // instead of CAS-contending on one histogram (deterministic export is
+  // unchanged: integer bucket counts merge exactly).
+  obs::Histogram* staleness_hist =
+      metrics->GetStripedHistogram("serve.stream.staleness_steps");
   ParallelFor(0, options.num_tenants, 1, [&](size_t t0, size_t t1) {
     for (size_t t = t0; t < t1; ++t) {
       TenantState& tenant = tenants[t];
       tenant.summary.tenant_id = t;
       tenant.model = models[t % models.size()];
-      tenant.summary.model = tenant.model;
       tenant.context_length = model_context[t % models.size()];
+      tenant.scenario = MakeTenantScenario(options, t);
 
-      trace::SyntheticTraceGenerator generator(
-          options.profile, DeriveSeed(options.seed, kTraceStream + t));
-      tenant.series =
-          generator.GenerateCpu(options.history_steps + options.num_steps);
-
-      const double mean_history =
-          std::accumulate(tenant.series.values.begin(),
-                          tenant.series.values.begin() +
-                              static_cast<long>(options.history_steps),
-                          0.0) /
-          static_cast<double>(options.history_steps);
-      tenant.config.theta = std::max(mean_history / options.theta_divisor,
-                                     1e-9);
-
-      simdb::Cluster::Options cluster_options;
-      cluster_options.node_capacity = tenant.config.theta;
-      cluster_options.seed = DeriveSeed(options.seed, kClusterStream + t);
-      cluster_options.metrics = options.metrics;
-      cluster_options.handles = &cluster_handles;
-      cluster_options.initial_nodes = core::RequiredNodes(
-          tenant.series.values[options.history_steps - 1], tenant.config);
-      tenant.cluster = std::make_unique<simdb::Cluster>(cluster_options);
-      tenant.current_nodes = cluster_options.initial_nodes;
-
-      if (inject) {
-        simdb::FaultPlan plan = options.faults;
-        plan.seed = DeriveSeed(options.faults.seed, kFaultStream + t);
-        tenant.injector = std::make_unique<simdb::FaultInjector>(plan);
-      }
-
-      const size_t ring_capacity =
-          options.stream_ring_capacity > 0 ? options.stream_ring_capacity
-                                           : 2 * options.replan_every;
-      tenant.ring = std::make_unique<stream::IngestRing>(ring_capacity);
-      tenant.cursor = std::make_unique<stream::StreamCursor>(tenant.ring.get());
-
-      for (size_t back = std::min(window, options.history_steps); back > 0;
-           --back) {
-        tenant.recent.push_back(
-            tenant.series.values[options.history_steps - back]);
-      }
-
+      core::TenantController::Options controller;
+      controller.config = tenant.scenario.config;
+      controller.degradation = options.degradation;
+      controller.cluster = tenant.scenario.cluster;
+      controller.cluster.handles = &cluster_handles;
+      controller.faults = tenant.scenario.faults;
+      controller.ring_capacity = options.stream_ring_capacity > 0
+                                     ? options.stream_ring_capacity
+                                     : 2 * options.replan_every;
+      controller.staleness_hist = staleness_hist;
       if (selecting) {
-        // Classify the tenant's observed history, seed the starting tier,
-        // and point the tenant at that ladder entry. All of this is a pure
-        // function of (series, options) — no RNG streams are consumed.
-        tenant.classifier = std::make_unique<select::WorkloadClassifier>(
-            options.selection.classifier);
-        tenant.classifier->PushAll(std::vector<double>(
-            tenant.series.values.begin(),
-            tenant.series.values.begin() +
-                static_cast<long>(options.history_steps)));
-        select::SelectorOptions selector_options = options.selection.selector;
-        selector_options.ladder_size = ladder.size();
-        tenant.selector =
-            std::make_unique<select::AdaptiveSelector>(selector_options);
-        tenant.selector->SeedFromPattern(tenant.classifier->Classify());
-        tenant.model = ladder[tenant.selector->tier()];
-        tenant.summary.model = tenant.model;
-        tenant.context_length = ladder_context[tenant.selector->tier()];
-        if (options.selection.prescale) {
-          tenant.prescaler = std::make_unique<select::PreScaler>(
-              options.selection.prescaler, tenant.config.min_nodes);
-        }
+        controller.ladder_size = ladder.size();
+        controller.classifier = options.selection.classifier;
+        controller.selector = options.selection.selector;
+        controller.prescale = options.selection.prescale;
+        controller.prescaler = options.selection.prescaler;
       }
-
       if (incremental) {
         // Private per-tenant forecaster, fitted on the tenant's own
         // history — the state the refresher keeps current round by round.
@@ -320,17 +259,24 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
               Status::InvalidArgument("refresh_model_factory returned null");
           continue;
         }
-        const ts::TimeSeries history =
-            tenant.series.Slice(0, options.history_steps);
-        Status fitted = tenant.refresh_model->Fit(history);
+        Status fitted = tenant.refresh_model->Fit(
+            tenant.scenario.series.Slice(0, options.history_steps));
         if (!fitted.ok()) {
           setup_status[t] = std::move(fitted);
           continue;
         }
-        tenant.refresher = std::make_unique<stream::IncrementalRefresher>(
-            tenant.refresh_model.get(), options.refresher);
-        setup_status[t] = tenant.refresher->Prime(history);
+        controller.refresh_target = tenant.refresh_model.get();
+        controller.refresher = options.refresher;
       }
+      auto created = core::TenantController::Create(
+          tenant.scenario.series, options.history_steps,
+          std::move(controller), &tenant.run);
+      if (!created.ok()) {
+        setup_status[t] = created.status();
+        continue;
+      }
+      tenant.controller = std::move(created).value();
+      tenant.summary.model = tenant.model;
     }
   });
   for (Status& status : setup_status) {
@@ -341,21 +287,11 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
 
   const core::RobustQuantileAllocator allocator(options.tau);
 
-  // Observed once per tenant per round inside the parallel shard phase —
-  // striped, so concurrent shards write per-thread-slot cache lines
-  // instead of CAS-contending on one histogram (deterministic export is
-  // unchanged: integer bucket counts merge exactly).
-  obs::Histogram* staleness_hist =
-      metrics->GetStripedHistogram("serve.stream.staleness_steps");
-
   FleetResult result;
   result.tenants.resize(options.num_tenants);
 
-  enum class RoundPlan { kFresh, kStale, kFallback };
-
   // Per-round scratch, hoisted so round iterations recycle capacity.
-  std::vector<RoundPlan> disposition;
-  std::vector<uint8_t> wants_fresh;
+  std::vector<core::RoundPlan> disposition;
   std::vector<std::vector<obs::ScalingDecision>> round_decisions(
       options.collect_decisions ? options.num_tenants : 0);
 
@@ -367,57 +303,22 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
       shard.admission->BeginRound();
     }
 
-    // Phase 1: decide each tenant's round disposition (injected forecaster
-    // faults first — a tenant whose forecaster is down does not compete
-    // for the round's inference budget). Per-tenant work; shards fan out.
-    disposition.assign(options.num_tenants, RoundPlan::kFresh);
-    wants_fresh.assign(options.num_tenants, 0);
+    // Phase 1: open each tenant's round. Injected forecaster faults decide
+    // first — a tenant whose forecaster is down does not compete for the
+    // round's inference budget — and the selector picks the round's model
+    // (and with it the request's context length). Shards fan out.
+    disposition.assign(options.num_tenants, core::RoundPlan::kFresh);
     ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
       for (size_t s = s0; s < s1; ++s) {
         for (size_t t : shard_tenants[s]) {
           TenantState& tenant = tenants[t];
-          ++tenant.summary.rounds;
-          bool fault_round = false;
-          if (tenant.injector != nullptr) {
-            const simdb::StepFaults faults =
-                tenant.injector->FaultsForStep(step);
-            const int attempts = faults.forecaster_timeout_attempts +
-                                 (faults.forecaster_nan ? 1 : 0);
-            if (faults.stale_forecast && !tenant.last_good_plan.empty()) {
-              disposition[t] = RoundPlan::kStale;
-              fault_round = true;
-            } else if (attempts > policy.max_retries) {
-              disposition[t] = RoundPlan::kFallback;
-              ++tenant.summary.fault_rounds;
-              fault_round = true;
-            }
+          disposition[t] = tenant.controller->BeginRound(step).plan;
+          if (disposition[t] == core::RoundPlan::kFallback) {
+            ++tenant.summary.fault_rounds;
           }
-          if (tenant.selector != nullptr) {
-            // Score the expiring plan's forecast against what realized and
-            // feed the selector one round; the round's model — and with it
-            // the request's context length — comes from the updated tier.
-            double wql = 0.0;
-            bool wql_valid = false;
-            if (tenant.live_forecast.has_value() &&
-                step > tenant.live_forecast_step) {
-              const size_t elapsed = std::min<size_t>(
-                  step - tenant.live_forecast_step,
-                  tenant.live_forecast->Horizon());
-              const size_t begin =
-                  options.history_steps + tenant.live_forecast_step;
-              const std::vector<double> actual(
-                  tenant.series.values.begin() + static_cast<long>(begin),
-                  tenant.series.values.begin() +
-                      static_cast<long>(begin + elapsed));
-              wql = ts::PrefixMeanWql(*tenant.live_forecast, actual);
-              wql_valid = true;
-            }
-            tenant.selector->ObserveRound(wql, wql_valid, fault_round);
-            tenant.model = ladder[tenant.selector->tier()];
-            tenant.context_length = ladder_context[tenant.selector->tier()];
-          }
-          if (!fault_round) {
-            wants_fresh[t] = 1;
+          if (selecting) {
+            tenant.model = ladder[tenant.controller->tier()];
+            tenant.context_length = ladder_context[tenant.controller->tier()];
           }
         }
       }
@@ -427,7 +328,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     // the unsharded fleet submits, which the deadline shed ranks against.
     std::vector<uint64_t> requesting;
     for (size_t t = 0; t < options.num_tenants; ++t) {
-      if (wants_fresh[t] != 0) {
+      if (disposition[t] == core::RoundPlan::kFresh) {
         requesting.push_back(t);
       }
     }
@@ -499,12 +400,12 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         case AdmissionVerdict::kThrottled:
           ++result.requests_throttled;
           ++tenant.summary.throttled_rounds;
-          disposition[t] = RoundPlan::kFallback;
+          disposition[t] = core::RoundPlan::kFallback;
           break;
         case AdmissionVerdict::kDeadlineShed:
           ++result.requests_shed;
           ++tenant.summary.shed_rounds;
-          disposition[t] = RoundPlan::kFallback;
+          disposition[t] = core::RoundPlan::kFallback;
           break;
       }
     }
@@ -517,44 +418,20 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         std::min(step + options.replan_every, options.num_steps);
     ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
       for (size_t s = s0; s < s1; ++s) {
-        // Incremental refresh: drain the round's ingested points from each
-        // tenant's ring and fold them into the tenant's private forecaster
-        // *before* serving, so admitted requests run against a model that
-        // has seen everything realized so far (model staleness 0). A
-        // refresh error degrades the tenant to the reactive fallback for
-        // the round — never the whole fleet.
-        std::vector<double> refresh_scratch;
+        // Incremental refresh: fold the round's ingested points into each
+        // tenant's private forecaster *before* serving, so admitted
+        // requests run against a model that has seen everything realized
+        // so far (model staleness 0). A refresh error degrades the tenant
+        // to the reactive fallback for the round — never the whole fleet.
         for (size_t t : shard_tenants[s]) {
           TenantState& tenant = tenants[t];
           uint64_t model_staleness = static_cast<uint64_t>(step);
-          if (tenant.refresher != nullptr) {
-            if (tenant.live_forecast.has_value() &&
-                step > tenant.live_forecast_step) {
-              const size_t elapsed = std::min<size_t>(
-                  step - tenant.live_forecast_step,
-                  tenant.live_forecast->Horizon());
-              const size_t begin =
-                  options.history_steps + tenant.live_forecast_step;
-              const std::vector<double> actual(
-                  tenant.series.values.begin() + static_cast<long>(begin),
-                  tenant.series.values.begin() +
-                      static_cast<long>(begin + elapsed));
-              tenant.refresher->ObserveForecastLoss(
-                  ts::PrefixMeanWql(*tenant.live_forecast, actual));
-            }
-            refresh_scratch.clear();
-            const stream::StreamCursor::Batch batch =
-                tenant.cursor->Poll(&refresh_scratch);
-            tenant.stream_points += batch.count;
-            const ts::TimeSeries observed =
-                tenant.series.Slice(0, options.history_steps + step);
-            auto outcome = tenant.refresher->Refresh(observed, batch.count,
-                                                     batch.missed);
-            if (outcome.ok()) {
+          if (incremental) {
+            if (tenant.controller->Ingest().ok()) {
               model_staleness = 0;
-            } else if (disposition[t] == RoundPlan::kFresh) {
+            } else if (disposition[t] == core::RoundPlan::kFresh) {
               ++tenant.summary.error_rounds;
-              disposition[t] = RoundPlan::kFallback;
+              disposition[t] = core::RoundPlan::kFallback;
             }
           }
           tenant.model_staleness_sum += model_staleness;
@@ -574,19 +451,19 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         request_tenant.reserve(shard_admitted[s].size());
         for (size_t t : shard_admitted[s]) {
           TenantState& tenant = tenants[t];
-          if (disposition[t] != RoundPlan::kFresh) {
+          if (disposition[t] != core::RoundPlan::kFresh) {
             continue;  // refresh error already degraded this round
           }
+          const std::vector<double>& values = tenant.scenario.series.values;
+          const size_t end = tenant.controller->ObservedEnd();
           ForecastRequest request;
           request.tenant_id = t;
           request.model = tenant.model;
-          const size_t end = options.history_steps + step;
           request.input.context.assign(
-              tenant.series.values.begin() +
-                  static_cast<long>(end - tenant.context_length),
-              tenant.series.values.begin() + static_cast<long>(end));
+              values.begin() + static_cast<long>(end - tenant.context_length),
+              values.begin() + static_cast<long>(end));
           request.input.start_index = end - tenant.context_length;
-          request.input.step_minutes = tenant.series.step_minutes;
+          request.input.step_minutes = tenant.scenario.series.step_minutes;
           request.seed =
               DeriveSeed(DeriveSeed(options.seed, kRequestStream + t), round);
           requests.push_back(std::move(request));
@@ -611,109 +488,40 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         for (size_t k = 0; k < responses.size(); ++k) {
           const size_t t = request_tenant[k];
           TenantState& tenant = tenants[t];
-          if (!responses[k].ok()) {
+          Status installed = responses[k].status;
+          if (installed.ok()) {
+            auto plan = allocator.Allocate(responses[k].forecast,
+                                           tenant.scenario.config);
+            installed = plan.ok() ? tenant.controller->InstallFresh(
+                                        std::move(*plan),
+                                        std::move(responses[k].forecast))
+                                  : plan.status();
+          }
+          if (!installed.ok()) {
             ++tenant.summary.error_rounds;
-            disposition[t] = RoundPlan::kFallback;
-            continue;
-          }
-          auto plan =
-              allocator.Allocate(responses[k].forecast, tenant.config);
-          if (!plan.ok()) {
-            ++tenant.summary.error_rounds;
-            disposition[t] = RoundPlan::kFallback;
-            continue;
-          }
-          tenant.plan = std::move(*plan);
-          tenant.last_good_plan = tenant.plan;
-          tenant.last_fresh_step = step;
-          ++tenant.summary.fresh_rounds;
-          if (tenant.selector != nullptr || tenant.refresher != nullptr) {
-            // Keep the fresh forecast for next round's rolling-wQL score
-            // (selector promotion/demotion, refresher drift guard).
-            tenant.live_forecast = responses[k].forecast;
-            tenant.live_forecast_step = step;
-          }
-          if (tenant.prescaler != nullptr) {
-            // The fresh quantile plan is the spike predictor: schedule a
-            // floor raise lead_steps ahead of any predicted spike.
-            tenant.prescaler->ObservePlan(tenant.plan, step);
+            disposition[t] = core::RoundPlan::kFallback;
           }
         }
         for (size_t t : shard_tenants[s]) {
-          TenantState& tenant = tenants[t];
-          switch (disposition[t]) {
-            case RoundPlan::kFresh:
-              break;  // plan already installed (or errored into fallback)
-            case RoundPlan::kStale:
-              tenant.plan = tenant.last_good_plan;
-              ++tenant.summary.stale_rounds;
-              break;
-            case RoundPlan::kFallback:
-              tenant.plan = core::BuildFallbackPlan(
-                  tenant.recent, tenant.last_good_plan, tenant.current_nodes,
-                  tenant.config, policy);
-              ++tenant.summary.fallback_rounds;
-              break;
-          }
-          if (tenant.plan.empty()) {
-            // First round shed before any good plan existed: hold current.
-            tenant.plan.assign(1, tenant.current_nodes);
+          if (disposition[t] == core::RoundPlan::kStale) {
+            tenants[t].controller->InstallStale();
+          } else if (disposition[t] == core::RoundPlan::kFallback) {
+            tenants[t].controller->InstallFallback();
           }
         }
 
         // Phase 4: drive the shard's clusters to the next planning round.
-        std::vector<double> drained;  // shard-local cursor scratch
+        // A plan shorter than the round holds its last step.
         for (size_t t : shard_tenants[s]) {
-          TenantState& tenant = tenants[t];
+          core::TenantController& controller = *tenants[t].controller;
+          const std::string run =
+              options.collect_decisions ? StrFormat("tenant%zu", t) : "";
           for (size_t st = step; st < round_end; ++st) {
-            simdb::StepFaults faults;
-            if (tenant.injector != nullptr) {
-              faults = tenant.injector->FaultsForStep(st);
-              if (faults.Any()) {
-                ++tenant.summary.faulted_steps;
-              }
-            }
-            const size_t cursor = st - step;
-            int target =
-                tenant.plan[std::min(cursor, tenant.plan.size() - 1)];
-            if (tenant.prescaler != nullptr) {
-              // Monotone merge: the pre-scale floor can only raise the
-              // decision, never fight the reactive plan downward.
-              target = tenant.prescaler->Merge(target, st);
-            }
-            const double workload =
-                tenant.series.values[options.history_steps + st];
-            const simdb::StepStats stats =
-                tenant.cluster->Step(target, workload, faults);
-            tenant.realized.push_back(stats.workload);
-            tenant.allocation.push_back(target);
-            tenant.utilization_sum += stats.avg_utilization;
-            if (stats.slo_violated) {
-              ++tenant.slo_violations;
-            }
-            PushRecent(&tenant, stats.workload, window);
-            if (tenant.classifier != nullptr) {
-              tenant.classifier->Push(stats.workload);
-            }
-            tenant.ring->Push(stats.workload);
-            const uint64_t staleness =
-                static_cast<uint64_t>(st - tenant.last_fresh_step);
-            tenant.staleness_sum += staleness;
-            tenant.staleness_max = std::max(tenant.staleness_max, staleness);
-            staleness_hist->Observe(static_cast<double>(staleness));
-            tenant.current_nodes = tenant.cluster->NumNodes();
+            const core::TenantController::StepOutcome out =
+                controller.Step(st);
             if (options.collect_decisions) {
-              obs::ScalingDecision decision;
-              decision.run = StrFormat("tenant%zu", t);
-              decision.step = st;
-              decision.target_nodes = stats.target_nodes;
-              decision.active_nodes = stats.active_nodes;
-              decision.workload = stats.workload;
-              decision.utilization = stats.avg_utilization;
-              decision.under_provisioned = stats.under_provisioned;
-              decision.slo_violated = stats.slo_violated;
-              round_decisions[t].push_back(std::move(decision));
-              round_decisions[t].back().faulted = faults.Any();
+              round_decisions[t].push_back(core::MakeScalingDecision(
+                  out.stats, run, out.faults.Any()));
             }
           }
           // Drain the round's ingested observations through the cursor —
@@ -721,11 +529,9 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
           // loop consumes; capacity >= 2 * replan_every makes this
           // drop-free. In incremental mode the refresher drains instead,
           // at the top of the next round, so the points feed the model.
+          // Without a refresher the drain cannot fail.
           if (!incremental) {
-            drained.clear();
-            const stream::StreamCursor::Batch batch =
-                tenant.cursor->Poll(&drained);
-            tenant.stream_points += batch.count;
+            (void)controller.Ingest();
           }
         }
       }
@@ -747,74 +553,64 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   // Final accounting.
   for (size_t t = 0; t < options.num_tenants; ++t) {
     TenantState& tenant = tenants[t];
-    const core::ProvisioningReport report = core::EvaluateAllocation(
-        tenant.realized, tenant.allocation, tenant.config);
-    tenant.summary.under_provision_rate = report.under_provision_rate;
-    tenant.summary.over_provision_rate = report.over_provision_rate;
-    tenant.summary.mean_utilization =
-        tenant.utilization_sum / static_cast<double>(options.num_steps);
-    tenant.summary.slo_violation_rate =
-        static_cast<double>(tenant.slo_violations) /
-        static_cast<double>(options.num_steps);
-    tenant.summary.stream_points = tenant.stream_points;
-    // Missed, not ring->dropped(): the ring advances its tail as soon as a
-    // slot is overwritten, whether or not the cursor had already read it —
-    // only the cursor knows which points were truly lost.
-    tenant.summary.stream_dropped = tenant.cursor->missed_total();
-    tenant.summary.mean_staleness_steps =
-        static_cast<double>(tenant.staleness_sum) /
-        static_cast<double>(options.num_steps);
-    tenant.summary.max_staleness_steps = tenant.staleness_max;
-    tenant.summary.mean_model_staleness_steps =
+    tenant.controller->Finish();
+    const core::OnlineLoopResult& run = tenant.run;
+    TenantSummary& summary = tenant.summary;
+    summary.under_provision_rate = run.under_provision_rate;
+    summary.over_provision_rate = run.over_provision_rate;
+    summary.mean_utilization = run.mean_utilization;
+    summary.slo_violation_rate = run.slo_violation_rate;
+    summary.rounds = run.plans_made;
+    summary.stale_rounds = run.stale_plans;
+    summary.fallback_rounds = run.fallback_plans;
+    summary.fresh_rounds =
+        summary.rounds - summary.stale_rounds - summary.fallback_rounds;
+    summary.faulted_steps = run.faulted_steps;
+    summary.stream_points = tenant.controller->points_drained();
+    summary.stream_dropped = run.points_dropped;
+    summary.mean_staleness_steps = run.mean_staleness_points;
+    summary.max_staleness_steps = run.max_staleness_points;
+    summary.mean_model_staleness_steps =
         static_cast<double>(tenant.model_staleness_sum) /
         static_cast<double>(result.rounds);
-    tenant.summary.max_model_staleness_steps = tenant.model_staleness_max;
-    if (tenant.selector != nullptr) {
-      if (tenant.prescaler != nullptr) {
-        // Force rollback of any in-flight floor raise so activations
-        // balance rollbacks at the end of every run.
-        tenant.prescaler->Finish();
-        tenant.summary.prescale = tenant.prescaler->stats();
-      }
-      tenant.summary.final_tier = tenant.selector->tier();
-      tenant.summary.pattern = tenant.classifier->Classify();
-      tenant.summary.selector = tenant.selector->stats();
-      tenant.summary.model = ladder[tenant.selector->tier()];
-      result.tier_switches += tenant.summary.selector.switches;
-      result.tier_promotions += tenant.summary.selector.promotions;
-      result.tier_demotions += tenant.summary.selector.probe_demotions +
-                               tenant.summary.selector.fault_demotions +
-                               tenant.summary.selector.drift_demotions;
-      result.prescale_activations += tenant.summary.prescale.activations;
-      result.prescale_rollbacks += tenant.summary.prescale.rollbacks;
+    summary.max_model_staleness_steps = tenant.model_staleness_max;
+    if (selecting) {
+      summary.final_tier = run.selection.final_tier;
+      summary.pattern = run.selection.pattern;
+      summary.selector = run.selection.selector;
+      summary.prescale = run.selection.prescaler;
+      summary.model = ladder[summary.final_tier];
+      result.tier_switches += summary.selector.switches;
+      result.tier_promotions += summary.selector.promotions;
+      result.tier_demotions += summary.selector.probe_demotions +
+                               summary.selector.fault_demotions +
+                               summary.selector.drift_demotions;
+      result.prescale_activations += summary.prescale.activations;
+      result.prescale_rollbacks += summary.prescale.rollbacks;
       result.prescale_floor_raised_steps +=
-          tenant.summary.prescale.floor_raised_steps;
+          summary.prescale.floor_raised_steps;
     }
-    if (tenant.refresher != nullptr) {
-      const stream::RefreshStats& rs = tenant.refresher->stats();
-      result.refresh.refreshes += rs.refreshes;
-      result.refresh.points_consumed += rs.points_consumed;
-      result.refresh.recursive_updates += rs.recursive_updates;
-      result.refresh.fine_tunes += rs.fine_tunes;
-      result.refresh.gradient_steps += rs.gradient_steps;
-      result.refresh.resyncs += rs.resyncs;
-      result.refresh.full_retrains += rs.full_retrains;
-    }
-    result.mean_model_staleness_steps +=
-        tenant.summary.mean_model_staleness_steps;
-    result.max_model_staleness_steps =
-        std::max(result.max_model_staleness_steps,
-                 tenant.summary.max_model_staleness_steps);
-    result.tenants[t] = tenant.summary;
-    result.mean_under_provision_rate += tenant.summary.under_provision_rate;
-    result.mean_over_provision_rate += tenant.summary.over_provision_rate;
-    result.mean_utilization += tenant.summary.mean_utilization;
-    result.mean_slo_violation_rate += tenant.summary.slo_violation_rate;
-    result.stream_points += tenant.summary.stream_points;
-    result.stream_dropped += tenant.summary.stream_dropped;
-    result.mean_staleness_steps += tenant.summary.mean_staleness_steps;
+    const stream::RefreshStats& rs = run.refresh;
+    result.refresh.refreshes += rs.refreshes;
+    result.refresh.points_consumed += rs.points_consumed;
+    result.refresh.recursive_updates += rs.recursive_updates;
+    result.refresh.fine_tunes += rs.fine_tunes;
+    result.refresh.gradient_steps += rs.gradient_steps;
+    result.refresh.resyncs += rs.resyncs;
+    result.refresh.full_retrains += rs.full_retrains;
+    result.mean_model_staleness_steps += summary.mean_model_staleness_steps;
+    result.max_model_staleness_steps = std::max(
+        result.max_model_staleness_steps, summary.max_model_staleness_steps);
+    result.tenants[t] = summary;
+    result.mean_under_provision_rate += summary.under_provision_rate;
+    result.mean_over_provision_rate += summary.over_provision_rate;
+    result.mean_utilization += summary.mean_utilization;
+    result.mean_slo_violation_rate += summary.slo_violation_rate;
+    result.stream_points += summary.stream_points;
+    result.stream_dropped += summary.stream_dropped;
+    result.mean_staleness_steps += summary.mean_staleness_steps;
     result.max_staleness_steps =
-        std::max(result.max_staleness_steps, tenant.summary.max_staleness_steps);
+        std::max(result.max_staleness_steps, summary.max_staleness_steps);
   }
   const double n = static_cast<double>(options.num_tenants);
   result.mean_under_provision_rate /= n;
@@ -823,31 +619,25 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   result.mean_slo_violation_rate /= n;
   result.mean_staleness_steps /= n;
   result.mean_model_staleness_steps /= n;
+  const auto count = [metrics](const char* name, uint64_t value) {
+    metrics->GetCounter(name)->Increment(static_cast<int64_t>(value));
+  };
   if (selecting) {
     // serve.select.* counters are bulk-incremented from the finished
     // result, so registry values agree exactly with the result fields.
-    metrics->GetCounter("serve.select.switches")
-        ->Increment(static_cast<int64_t>(result.tier_switches));
-    metrics->GetCounter("serve.select.promotions")
-        ->Increment(static_cast<int64_t>(result.tier_promotions));
-    metrics->GetCounter("serve.select.demotions")
-        ->Increment(static_cast<int64_t>(result.tier_demotions));
-    metrics->GetCounter("serve.select.prescale.activations")
-        ->Increment(static_cast<int64_t>(result.prescale_activations));
-    metrics->GetCounter("serve.select.prescale.rollbacks")
-        ->Increment(static_cast<int64_t>(result.prescale_rollbacks));
-    metrics->GetCounter("serve.select.prescale.floor_raised_steps")
-        ->Increment(static_cast<int64_t>(result.prescale_floor_raised_steps));
+    count("serve.select.switches", result.tier_switches);
+    count("serve.select.promotions", result.tier_promotions);
+    count("serve.select.demotions", result.tier_demotions);
+    count("serve.select.prescale.activations", result.prescale_activations);
+    count("serve.select.prescale.rollbacks", result.prescale_rollbacks);
+    count("serve.select.prescale.floor_raised_steps",
+          result.prescale_floor_raised_steps);
   }
   if (incremental) {
-    metrics->GetCounter("serve.refresh.rounds")
-        ->Increment(static_cast<int64_t>(result.refresh.refreshes));
-    metrics->GetCounter("serve.refresh.points_consumed")
-        ->Increment(static_cast<int64_t>(result.refresh.points_consumed));
-    metrics->GetCounter("serve.refresh.resyncs")
-        ->Increment(static_cast<int64_t>(result.refresh.resyncs));
-    metrics->GetCounter("serve.refresh.full_retrains")
-        ->Increment(static_cast<int64_t>(result.refresh.full_retrains));
+    count("serve.refresh.rounds", result.refresh.refreshes);
+    count("serve.refresh.points_consumed", result.refresh.points_consumed);
+    count("serve.refresh.resyncs", result.refresh.resyncs);
+    count("serve.refresh.full_retrains", result.refresh.full_retrains);
   }
   result.cache = registry->GetCacheStats();
   for (const Shard& shard : shards) {

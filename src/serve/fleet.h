@@ -207,6 +207,20 @@ struct FleetOptions {
 /// composition of every per-shard cache — never changes across runs.
 size_t ShardOfTenant(uint64_t tenant_id, size_t num_shards);
 
+/// The synthetic scenario RunFleet serves a tenant: its workload trace
+/// (history_steps + num_steps points), a capacity threshold theta sized so
+/// the trace's swings move the node count, a cluster starting at the node
+/// count the last observed point requires, and an independent fault
+/// schedule. Every seed derives from (options, tenant_id) alone.
+struct TenantScenario {
+  ts::TimeSeries series;
+  core::ScalingConfig config;
+  simdb::Cluster::Options cluster;
+  simdb::FaultPlan faults;
+};
+TenantScenario MakeTenantScenario(const FleetOptions& options,
+                                  uint64_t tenant_id);
+
 /// Steps `num_tenants` simulated database clusters through the online
 /// scaling loop against a shared serving tier: each planning round, every
 /// tenant requests a fresh quantile forecast for its own synthetic

@@ -1,6 +1,7 @@
 #include "solver/autoscaling.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -26,6 +27,9 @@ Status ValidateProblem(const AutoScalingProblem& problem) {
     if (problem.ThresholdAt(t) <= 0.0) {
       return Status::InvalidArgument("thresholds must be positive");
     }
+    if (!std::isfinite(problem.workloads[t])) {
+      return Status::InvalidArgument("workloads must be finite");
+    }
     if (problem.workloads[t] < 0.0) {
       return Status::InvalidArgument("workloads must be non-negative");
     }
@@ -45,7 +49,13 @@ Result<std::vector<int>> SolveAutoScalingInteger(
     const double required = problem.workloads[t] / problem.ThresholdAt(t);
     // ceil with a tolerance so w/theta == k does not round to k+1 from
     // floating-point dust.
-    int nodes = static_cast<int>(std::ceil(required - 1e-9));
+    const double ceiled = std::ceil(required - 1e-9);
+    // Casting a value outside int's range is undefined behaviour.
+    if (!(ceiled <= static_cast<double>(std::numeric_limits<int>::max()))) {
+      return Status::OutOfRange(StrFormat(
+          "step %zu requires %g nodes, beyond the int range", t, ceiled));
+    }
+    int nodes = static_cast<int>(ceiled);
     nodes = std::max(nodes, problem.min_nodes);
     if (problem.max_nodes > 0 && nodes > problem.max_nodes) {
       return Status::OutOfRange(StrFormat(

@@ -15,6 +15,9 @@
 #include "common/strings.h"
 #include "forecast/deepar.h"
 #include "forecast/mlp.h"
+#include "core/manager.h"
+#include "core/online_loop.h"
+#include "core/strategies.h"
 #include "nn/qcheckpoint.h"
 #include "serve/admission.h"
 #include "serve/batching.h"
@@ -726,6 +729,66 @@ TEST(FleetTest, InjectedFaultsDegradeGracefully) {
   EXPECT_GT(fault_rounds + faulted_steps, 0u);
 }
 
+/// Serves a real MLP checkpoint but emits an all-NaN forecast — the shape
+/// of a forecaster whose weights or inputs went bad.
+class NanForecaster final : public forecast::Forecaster {
+ public:
+  NanForecaster() : inner_(SmallMlpOptions()) {}
+  Status Fit(const ts::TimeSeries& train) override { return inner_.Fit(train); }
+  Result<ts::QuantileForecast> Predict(
+      const ForecastInput& /*input*/) const override {
+    return ts::QuantileForecast(
+        inner_.Levels(),
+        std::vector<std::vector<double>>(
+            inner_.Horizon(),
+            std::vector<double>(inner_.Levels().size(), std::nan(""))));
+  }
+  Status LoadCheckpoint(const std::string& path) override {
+    return inner_.LoadCheckpoint(path);
+  }
+  bool SupportsCheckpoint() const override { return true; }
+  size_t Horizon() const override { return inner_.Horizon(); }
+  size_t ContextLength() const override { return inner_.ContextLength(); }
+  const std::vector<double>& Levels() const override {
+    return inner_.Levels();
+  }
+  std::string Name() const override { return "NaN"; }
+
+ private:
+  MlpForecaster inner_;
+};
+
+TEST(FleetTest, NonFiniteForecastIsAnErrorRoundServedByFallback) {
+  // Regression: a NaN forecast went straight into the allocator, whose
+  // float-to-int cast turned it into a 1-node "fresh" plan.
+  TestRegistry r = MakeRegistry(1 << 20);
+  ASSERT_TRUE(r.registry
+                  ->RegisterVersion({"nan", 1}, Checkpoints().mlp_path, [] {
+                    return std::make_unique<NanForecaster>();
+                  })
+                  .ok());
+  FleetOptions options = SmallFleetOptions();
+  options.metrics = r.metrics.get();
+  options.faults.stale_forecast_rate = 0.3;
+  options.faults.seed = 5;
+  auto result =
+      RunFleet(r.registry.get(), {{"nan", 1}, {"mlp", 1}}, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const TenantSummary& tenant : result->tenants) {
+    EXPECT_EQ(tenant.rounds, tenant.fresh_rounds + tenant.stale_rounds +
+                                 tenant.fallback_rounds);
+    if (tenant.model.name == "nan") {
+      // No good plan ever lands, so stale faults cannot replay one.
+      EXPECT_EQ(tenant.error_rounds, tenant.rounds);
+      EXPECT_EQ(tenant.fallback_rounds, tenant.rounds);
+      EXPECT_EQ(tenant.fresh_rounds, 0u);
+    } else {
+      EXPECT_EQ(tenant.error_rounds, 0u);
+      EXPECT_GT(tenant.fresh_rounds, 0u);
+    }
+  }
+}
+
 TEST(FleetTest, StreamIngestAndStalenessAccounted) {
   // Every realized workload observation flows through the tenant's ingest
   // ring and is drained once per round: with the default drop-free ring
@@ -1035,6 +1098,186 @@ TEST(FleetRefreshTest, IncrementalModeIsDeterministicAcrossThreads) {
   ExpectSameFleetResult(serial, parallel);
   EXPECT_EQ(serial.refresh.refreshes, parallel.refresh.refreshes);
   EXPECT_EQ(serial.refresh.points_consumed, parallel.refresh.points_consumed);
+}
+
+// -------------------------------------------- Fleet of one == online loop ---
+
+/// Runs tenant 0 of `options` through RunFleet as a fleet of one and
+/// through core::RunOnlineLoop on the same scenario, and expects the two
+/// drivers to agree bit for bit. MLP forecasts are deterministic, so the
+/// fleet's batched forward and the manager's Predict give the same plan,
+/// and replan_every == horizon == fallback_plan_steps keeps the loop's
+/// rounds on the fleet's round grid.
+void ExpectFleetOfOneMatchesLoop(FleetOptions options) {
+  TestRegistry r = MakeRegistry(1 << 20);
+  ASSERT_TRUE(r.registry
+                  ->RegisterVersion({"mlp", 2}, Checkpoints().mlp_path,
+                                    MlpFactory())
+                  .ok());
+  options.num_tenants = 1;
+  options.metrics = r.metrics.get();
+  options.collect_decisions = true;
+  const bool incremental =
+      options.refresh_mode == core::RefreshMode::kIncremental;
+  if (incremental) {
+    options.refresh_model_factory = [](const ModelId&) {
+      return std::unique_ptr<forecast::Forecaster>(
+          new MlpForecaster(SmallMlpOptions()));
+    };
+  }
+  if (options.selection.enabled) {
+    // Two versions of one checkpoint: tier moves are exercised, and every
+    // tier plans alike in both drivers.
+    options.selection.ladder = {{"mlp", 1}, {"mlp", 2}};
+  }
+  auto fleet = RunFleet(r.registry.get(), {{"mlp", 1}}, options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+
+  const TenantScenario scenario = MakeTenantScenario(options, 0);
+  MlpForecaster model(SmallMlpOptions());
+  if (incremental) {
+    ASSERT_TRUE(
+        model.Fit(scenario.series.Slice(0, options.history_steps)).ok());
+  } else {
+    ASSERT_TRUE(model.LoadCheckpoint(Checkpoints().mlp_path).ok());
+  }
+  core::RobustAutoScalingManager manager(
+      &model, std::make_unique<core::RobustQuantileAllocator>(options.tau),
+      scenario.config);
+  manager.SetObservability(r.metrics.get(), nullptr);
+  core::OnlineLoopOptions loop;
+  loop.replan_every = options.replan_every;
+  loop.cluster = scenario.cluster;
+  loop.faults = scenario.faults;
+  loop.degradation = options.degradation;
+  loop.metrics = r.metrics.get();
+  if (incremental) {
+    loop.streaming.refresh_mode = core::RefreshMode::kIncremental;
+    loop.streaming.refresh_target = &model;
+    loop.streaming.ring_capacity = 2 * options.replan_every;
+    loop.streaming.refresher = options.refresher;
+  }
+  if (options.selection.enabled) {
+    loop.selection.mode = core::SelectionMode::kAdaptive;
+    loop.selection.ladder = {&manager, &manager};
+  }
+  auto run = core::RunOnlineLoop(manager, scenario.series,
+                                 options.history_steps, options.num_steps,
+                                 loop);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  // Every step: the decision actuated and what the cluster made of it.
+  ASSERT_EQ(fleet->decisions.size(), run->steps.size());
+  ASSERT_EQ(run->allocation.size(), run->steps.size());
+  for (size_t i = 0; i < run->steps.size(); ++i) {
+    const obs::ScalingDecision& d = fleet->decisions[i];
+    const simdb::StepStats& s = run->steps[i];
+    EXPECT_EQ(d.step, s.step);
+    EXPECT_EQ(d.target_nodes, run->allocation[i]) << "step " << i;
+    EXPECT_EQ(d.target_nodes, s.target_nodes) << "step " << i;
+    EXPECT_EQ(d.active_nodes, s.active_nodes) << "step " << i;
+    EXPECT_EQ(d.workload, s.workload) << "step " << i;
+    EXPECT_EQ(d.utilization, s.avg_utilization) << "step " << i;
+    EXPECT_EQ(d.under_provisioned, s.under_provisioned) << "step " << i;
+    EXPECT_EQ(d.slo_violated, s.slo_violated) << "step " << i;
+  }
+  const TenantSummary& tenant = fleet->tenants[0];
+  EXPECT_EQ(tenant.under_provision_rate, run->under_provision_rate);
+  EXPECT_EQ(tenant.over_provision_rate, run->over_provision_rate);
+  EXPECT_EQ(tenant.mean_utilization, run->mean_utilization);
+  EXPECT_EQ(tenant.slo_violation_rate, run->slo_violation_rate);
+  EXPECT_EQ(tenant.mean_staleness_steps, run->mean_staleness_points);
+  EXPECT_EQ(tenant.max_staleness_steps, run->max_staleness_points);
+  EXPECT_EQ(tenant.faulted_steps, run->faulted_steps);
+  EXPECT_EQ(tenant.rounds, run->plans_made);
+  EXPECT_EQ(tenant.stale_rounds, run->stale_plans);
+  EXPECT_EQ(tenant.fallback_rounds, run->fallback_plans);
+  EXPECT_EQ(tenant.fault_rounds,
+            run->forecaster_faults - run->retried_plans);
+  EXPECT_EQ(tenant.error_rounds, 0u);
+  EXPECT_EQ(tenant.final_tier, run->selection.final_tier);
+  EXPECT_EQ(tenant.selector.switches, run->selection.selector.switches);
+  EXPECT_EQ(tenant.prescale.activations,
+            run->selection.prescaler.activations);
+  EXPECT_EQ(fleet->refresh.refreshes, run->refresh.refreshes);
+  EXPECT_EQ(fleet->refresh.gradient_steps, run->refresh.gradient_steps);
+  if (incremental) {
+    EXPECT_GT(run->refresh.refreshes, 0u);
+  }
+  if (options.selection.enabled) {
+    EXPECT_EQ(run->selection.selector.rounds, run->plans_made);
+  }
+}
+
+/// Fault plan that exercises all three degraded round kinds: retries (one
+/// NaN attempt), stale replays, and fallbacks (three timeouts outlast the
+/// default two retries), plus actuation, crash and spike faults.
+simdb::FaultPlan EveryRoundKindFaults() {
+  simdb::FaultPlan faults;
+  faults.forecaster_nan_rate = 0.3;
+  faults.forecaster_timeout_rate = 0.2;
+  faults.forecaster_timeout_attempts = 3;
+  faults.stale_forecast_rate = 0.2;
+  faults.actuation_delay_rate = 0.1;
+  faults.crash_rate = 0.1;
+  faults.spike_rate = 0.1;
+  faults.seed = 21;
+  return faults;
+}
+
+FleetOptions FleetOfOneOptions(bool faulted) {
+  FleetOptions options = SmallFleetOptions();
+  options.num_steps = 96;
+  if (faulted) {
+    options.faults = EveryRoundKindFaults();
+  }
+  return options;
+}
+
+TEST(FleetOfOneTest, BatchRefreshMatchesOnlineLoop) {
+  ExpectFleetOfOneMatchesLoop(FleetOfOneOptions(false));
+  ExpectFleetOfOneMatchesLoop(FleetOfOneOptions(true));
+}
+
+TEST(FleetOfOneTest, IncrementalRefreshMatchesOnlineLoop) {
+  for (bool faulted : {false, true}) {
+    FleetOptions options = FleetOfOneOptions(faulted);
+    options.refresh_mode = core::RefreshMode::kIncremental;
+    ExpectFleetOfOneMatchesLoop(options);
+  }
+}
+
+TEST(FleetOfOneTest, AdaptiveSelectionWithPrescaleMatchesOnlineLoop) {
+  for (bool faulted : {false, true}) {
+    FleetOptions options = FleetOfOneOptions(faulted);
+    options.selection.enabled = true;
+    options.selection.prescale = true;
+    ExpectFleetOfOneMatchesLoop(options);
+  }
+}
+
+TEST(FleetOfOneTest, FaultPlanReachesEveryRoundKind) {
+  // Guards the differential tests above against a vacuous fault plan.
+  const FleetOptions options = FleetOfOneOptions(true);
+  const TenantScenario scenario = MakeTenantScenario(options, 0);
+  const simdb::FaultInjector injector(scenario.faults);
+  size_t retried = 0, stale = 0, fallback = 0;
+  for (size_t step = 0; step < options.num_steps;
+       step += options.replan_every) {
+    const simdb::StepFaults f = injector.FaultsForStep(step);
+    const int failed =
+        f.forecaster_timeout_attempts + (f.forecaster_nan ? 1 : 0);
+    if (f.stale_forecast) {
+      ++stale;
+    } else if (failed > options.degradation.max_retries) {
+      ++fallback;
+    } else if (failed > 0) {
+      ++retried;
+    }
+  }
+  EXPECT_GT(retried, 0u);
+  EXPECT_GT(stale, 0u);
+  EXPECT_GT(fallback, 0u);
 }
 
 // ----------------------------------------------------- Quantized serving ---

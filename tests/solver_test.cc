@@ -196,6 +196,29 @@ TEST(AutoScalingTest, RejectsNegativeWorkload) {
   EXPECT_FALSE(SolveAutoScalingInteger(problem).ok());
 }
 
+TEST(AutoScalingTest, RejectsNonFiniteAndOutOfRangeWorkload) {
+  // A NaN, infinite or huge demand must be an error, never a node count
+  // produced by an out-of-range float-to-int cast.
+  for (double w : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    AutoScalingProblem problem;
+    problem.workloads = {1.0, w};
+    problem.thresholds = {1.0};
+    const auto solved = SolveAutoScalingInteger(problem);
+    ASSERT_FALSE(solved.ok()) << w;
+    EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument) << w;
+  }
+  AutoScalingProblem huge;
+  huge.workloads = {1e300};
+  huge.thresholds = {1.0};
+  const auto solved = SolveAutoScalingInteger(huge);
+  ASSERT_FALSE(solved.ok());
+  EXPECT_EQ(solved.status().code(), StatusCode::kOutOfRange);
+  // The largest representable node count is still served.
+  huge.workloads = {2147483647.0};
+  ASSERT_TRUE(SolveAutoScalingInteger(huge).ok());
+  EXPECT_EQ(SolveAutoScalingInteger(huge)->front(), 2147483647);
+}
+
 TEST(AutoScalingTest, RejectsEmpty) {
   AutoScalingProblem problem;
   problem.thresholds = {1.0};

@@ -51,25 +51,26 @@ Args Parse(int argc, char** argv) {
       const size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
-    if (const char* v = value("--trace=")) {
+    const char* v = nullptr;
+    if ((v = value("--trace="))) {
       args.trace = v;
-    } else if (const char* v = value("--model=")) {
+    } else if ((v = value("--model="))) {
       args.model = v;
-    } else if (const char* v = value("--head=")) {
+    } else if ((v = value("--head="))) {
       args.head = v;
-    } else if (const char* v = value("--strategy=")) {
+    } else if ((v = value("--strategy="))) {
       args.strategy = v;
-    } else if (const char* v = value("--tau=")) {
+    } else if ((v = value("--tau="))) {
       args.tau = std::atof(v);
-    } else if (const char* v = value("--tau2=")) {
+    } else if ((v = value("--tau2="))) {
       args.tau2 = std::atof(v);
-    } else if (const char* v = value("--days=")) {
+    } else if ((v = value("--days="))) {
       args.days = std::atoi(v);
     } else if (arg == "--smooth") {
       args.smooth = true;
     } else if (arg == "--online") {
       args.online = true;
-    } else if (const char* v = value("--csv=")) {
+    } else if ((v = value("--csv="))) {
       args.csv = v;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

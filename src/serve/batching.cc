@@ -1,5 +1,6 @@
 #include "serve/batching.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -45,8 +46,7 @@ std::vector<ForecastResponse> BatchEngine::Execute(
 void BatchEngine::ExecuteBatched(const std::vector<ForecastRequest>& requests,
                                  std::vector<ForecastResponse>* responses) {
   // Stable grouping: requests keep their slate order inside each group, and
-  // groups are processed in first-appearance order, so execution order is a
-  // pure function of the slate.
+  // groups start in first-appearance order.
   std::vector<std::pair<ModelId, std::vector<size_t>>> groups;
   std::map<ModelId, size_t> group_of;
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -56,6 +56,15 @@ void BatchEngine::ExecuteBatched(const std::vector<ForecastRequest>& requests,
     }
     groups[it->second].second.push_back(i);
   }
+  // Residency-first: serve the warm versions before loading any cold one,
+  // so every LRU victim of this slate's loads is a version the slate has
+  // already served. A slate that sweeps the same N versions every round
+  // then loads N - K of them, not all N. The probe is only a hint (another
+  // shard may change residency before Acquire); responses are a pure
+  // function of (version, input, seed), so the order never changes them.
+  std::stable_partition(groups.begin(), groups.end(), [&](const auto& group) {
+    return registry_->IsResident(group.first);
+  });
 
   for (const auto& [model_id, indices] : groups) {
     batches_counter_->Increment();

@@ -350,6 +350,13 @@ void ModelRegistry::FillPinnedLocked(CacheStats* stats) const {
   }
 }
 
+bool ModelRegistry::IsResident(const ModelId& id) const {
+  std::shared_ptr<const Snapshot> snap =
+      snapshot_.load(std::memory_order_acquire);
+  auto it = snap->entries.find(id);
+  return it != snap->entries.end() && it->second.resident != nullptr;
+}
+
 Result<ModelId> ModelRegistry::Latest(const std::string& name) const {
   std::shared_ptr<const Snapshot> snap =
       snapshot_.load(std::memory_order_acquire);

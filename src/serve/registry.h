@@ -157,6 +157,13 @@ class ModelRegistry {
   Result<std::shared_ptr<const forecast::Forecaster>> Acquire(
       const ModelId& id);
 
+  /// True when the version is warm in the published snapshot. A scheduling
+  /// hint, not an acquire: lock-free, and it touches neither the LRU clock
+  /// nor the hit/miss counters. Residency can change before a following
+  /// Acquire() (another shard may load or evict), so no result may depend
+  /// on it. False for unregistered ids.
+  bool IsResident(const ModelId& id) const;
+
   /// Highest registered version for `name`; NotFound when absent.
   /// Lock-free (reads the current snapshot).
   Result<ModelId> Latest(const std::string& name) const;

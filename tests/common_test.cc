@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/csv.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -568,6 +571,59 @@ TEST(ResultTest, CopyableResultSupportsReassignment) {
   EXPECT_EQ(r.value(), 7);
 }
 
+// ------------------------------------------------------------------ Crc32 ---
+
+/// Bitwise CRC-32/IEEE, the definition the table-driven Crc32 must match.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(20241019);
+  std::vector<uint8_t> buffer(300 + 8);
+  for (uint8_t& b : buffer) {
+    b = static_cast<uint8_t>(rng.NextUint64());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint8_t* start = buffer.data() + offset;
+      ASSERT_EQ(Crc32(start, len), ReferenceCrc32(start, len, 0))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32(start, len, 0x9E3779B9u),
+                ReferenceCrc32(start, len, 0x9E3779B9u))
+          << "seeded, offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsAcrossSplits) {
+  Rng rng(7);
+  std::vector<uint8_t> buffer(157);
+  for (uint8_t& b : buffer) {
+    b = static_cast<uint8_t>(rng.NextUint64());
+  }
+  const uint32_t whole = Crc32(buffer.data(), buffer.size());
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const uint32_t head = Crc32(buffer.data(), split);
+    EXPECT_EQ(Crc32(buffer.data() + split, buffer.size() - split, head),
+              whole)
+        << "split at " << split;
+  }
+}
+
 // -------------------------------------------------------------- Stopwatch ---
 
 TEST(StopwatchTest, MeasuresElapsedTime) {
@@ -575,7 +631,7 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   // Burn some cycles.
   volatile double x = 0.0;
   for (int i = 0; i < 100000; ++i) {
-    x += std::sqrt(static_cast<double>(i));
+    x = x + std::sqrt(static_cast<double>(i));
   }
   const double first = sw.ElapsedMillis();
   EXPECT_GE(first, 0.0);
@@ -586,7 +642,7 @@ TEST(StopwatchTest, ResetRestarts) {
   Stopwatch sw;
   volatile double x = 0.0;
   for (int i = 0; i < 100000; ++i) {
-    x += std::sqrt(static_cast<double>(i));
+    x = x + std::sqrt(static_cast<double>(i));
   }
   const double before = sw.ElapsedMillis();
   sw.Reset();

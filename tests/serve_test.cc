@@ -425,6 +425,67 @@ TEST(BatchEngineTest, PerRequestErrorsDoNotPoisonTheBatch) {
   EXPECT_EQ(r.metrics->GetCounter("serve.engine.request_errors")->value(), 2);
 }
 
+/// Bytes one resident MLP version charges (text checkpoint: file size).
+size_t MlpBytes() {
+  TestRegistry sized = MakeRegistry(1 << 20);
+  RPAS_CHECK(sized.registry->Acquire({"mlp", 1}).ok());
+  return sized.registry->GetCacheStats().resident_bytes;
+}
+
+/// Registers mlp@2 .. mlp@`versions` as copies of mlp@1 (same checkpoint,
+/// so every version charges the same bytes).
+void RegisterMlpCopies(ModelRegistry* registry, uint64_t versions) {
+  for (uint64_t v = 2; v <= versions; ++v) {
+    RPAS_CHECK(
+        registry->RegisterVersion({"mlp", v}, Checkpoints().mlp_path,
+                                  MlpFactory())
+            .ok());
+  }
+}
+
+TEST(BatchEngineTest, ServesResidentVersionsBeforeColdOnes) {
+  // Budget of one model, slate [mlp@1 (cold), mlp@2 (resident)]. In slate
+  // order the cold load would evict mlp@2 before its group ran: two
+  // misses. Residency-first serves mlp@2 from the cache, then loads mlp@1.
+  TestRegistry r = MakeRegistry(MlpBytes());
+  RegisterMlpCopies(r.registry.get(), 2);
+  ASSERT_TRUE(r.registry->Acquire({"mlp", 2}).ok());
+  ASSERT_TRUE(r.registry->IsResident({"mlp", 2}));
+  ASSERT_FALSE(r.registry->IsResident({"mlp", 1}));
+  const ModelRegistry::CacheStats before = r.registry->GetCacheStats();
+
+  std::vector<ForecastRequest> slate;
+  for (uint64_t i = 0; i < 4; ++i) {
+    ForecastRequest request;
+    request.tenant_id = i;
+    request.model = ModelId{"mlp", i % 2 == 0 ? 1u : 2u};
+    request.input = MakeInput(i);
+    request.seed = 500 + i;
+    slate.push_back(std::move(request));
+  }
+  BatchEngine engine(r.registry.get(), {true, r.metrics.get()});
+  const std::vector<ForecastResponse> responses = engine.Execute(slate);
+
+  const ModelRegistry::CacheStats after = r.registry->GetCacheStats();
+  EXPECT_EQ(after.hits - before.hits, 1);
+  EXPECT_EQ(after.misses - before.misses, 1);
+  EXPECT_EQ(after.loads - before.loads, 1);
+  EXPECT_TRUE(r.registry->IsResident({"mlp", 1}));
+
+  // Responses stay in slate order and match per-request serving on an
+  // unbounded registry: the serving order never changes an answer.
+  TestRegistry roomy = MakeRegistry(1 << 20);
+  RegisterMlpCopies(roomy.registry.get(), 2);
+  BatchEngine unbatched(roomy.registry.get(), {false, roomy.metrics.get()});
+  const std::vector<ForecastResponse> expected = unbatched.Execute(slate);
+  ASSERT_EQ(responses.size(), slate.size());
+  for (size_t i = 0; i < slate.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status.ToString();
+    ASSERT_TRUE(expected[i].ok());
+    ExpectForecastsBitIdentical(responses[i].forecast, expected[i].forecast);
+  }
+}
+
 // --------------------------------------------------------------- Admission ---
 
 TEST(AdmissionTest, TokenBucketThrottlesAndRecovers) {
@@ -858,6 +919,47 @@ TEST(FleetTest, CacheThrashUnderTightBudgetStillServes) {
   EXPECT_GT(result->cache.evictions, 0);
   EXPECT_GT(result->cache.misses, result->cache.hits);
   EXPECT_LE(result->cache.resident_bytes, one_model);
+}
+
+TEST(FleetTest, BatchedFleetLoadsOnlyVersionsThatDoNotFit) {
+  // N equal-size versions, budget K < N. Every round's slate names all N
+  // versions in the same order; serving the K resident ones first makes
+  // each LRU victim a version the round has already served, so a round
+  // loads exactly the N - K that do not fit (first-appearance order would
+  // reload all N). Results match an unbounded registry and unbatched mode.
+  constexpr uint64_t kVersions = 5;
+  constexpr uint64_t kResident = 2;
+  std::vector<ModelId> models;
+  for (uint64_t v = 1; v <= kVersions; ++v) {
+    models.push_back({"mlp", v});
+  }
+  auto run = [&](size_t budget, bool batched) {
+    TestRegistry r = MakeRegistry(budget);
+    RegisterMlpCopies(r.registry.get(), kVersions);
+    FleetOptions options = SmallFleetOptions();
+    options.num_tenants = 2 * kVersions;
+    options.batched = batched;
+    options.metrics = r.metrics.get();
+    auto result = RunFleet(r.registry.get(), models, options);
+    RPAS_CHECK(result.ok()) << result.status().ToString();
+    return std::move(*result);
+  };
+  const FleetResult tight = run(kResident * MlpBytes(), true);
+  ASSERT_GT(tight.rounds, 1u);
+  for (const TenantSummary& tenant : tight.tenants) {
+    ASSERT_EQ(tenant.fresh_rounds, tight.rounds);
+  }
+  // Warm-up acquires each version once (kVersions loads), then every round
+  // loads the kVersions - kResident versions the budget cannot hold.
+  EXPECT_EQ(tight.cache.loads,
+            static_cast<int64_t>(kVersions +
+                                 tight.rounds * (kVersions - kResident)));
+  EXPECT_EQ(tight.cache.misses, tight.cache.loads);
+  EXPECT_EQ(tight.cache.hits,
+            static_cast<int64_t>(tight.rounds * kResident));
+
+  ExpectSameFleetResult(tight, run(1 << 20, true));
+  ExpectSameFleetResult(tight, run(kResident * MlpBytes(), false));
 }
 
 TEST(FleetTest, InvalidOptionsRejected) {
@@ -1674,6 +1776,44 @@ TEST(ModelRegistryTest, WarmHitAcquireTakesNoMutex) {
   EXPECT_EQ(stats.hits, static_cast<uint64_t>(kWarmHits));
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.loads, 1u);
+}
+
+// IsResident() is a scheduling hint, not an acquire: it must leave the
+// lock probe, the hit/miss counters and the LRU order exactly as it found
+// them.
+TEST(ModelRegistryTest, IsResidentIsASideEffectFreeProbe) {
+  TestRegistry r = MakeRegistry(2 * MlpBytes());
+  RegisterMlpCopies(r.registry.get(), 3);
+  ASSERT_TRUE(r.registry->Acquire({"mlp", 1}).ok());  // LRU-oldest
+  ASSERT_TRUE(r.registry->Acquire({"mlp", 2}).ok());
+
+  const uint64_t locks = r.registry->MutexAcquisitions();
+  const ModelRegistry::CacheStats before = r.registry->GetCacheStats();
+  const uint64_t locks_after_stats = r.registry->MutexAcquisitions();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(r.registry->IsResident({"mlp", 1}));
+    EXPECT_TRUE(r.registry->IsResident({"mlp", 2}));
+    EXPECT_FALSE(r.registry->IsResident({"mlp", 3}));
+    EXPECT_FALSE(r.registry->IsResident({"deepar", 1}));
+    EXPECT_FALSE(r.registry->IsResident({"unknown", 1}));
+  }
+  EXPECT_EQ(r.registry->MutexAcquisitions(), locks_after_stats);
+  const ModelRegistry::CacheStats after = r.registry->GetCacheStats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.loads, before.loads);
+  EXPECT_EQ(r.metrics->GetCounter("serve.registry.hits")->value(),
+            after.hits);
+  EXPECT_EQ(r.metrics->GetCounter("serve.registry.misses")->value(),
+            after.misses);
+  EXPECT_GT(locks_after_stats, locks);  // GetCacheStats itself locks
+
+  // Probing mlp@1 did not refresh its LRU tick: loading mlp@3 still
+  // evicts it, not mlp@2.
+  ASSERT_TRUE(r.registry->Acquire({"mlp", 3}).ok());
+  EXPECT_FALSE(r.registry->IsResident({"mlp", 1}));
+  EXPECT_TRUE(r.registry->IsResident({"mlp", 2}));
+  EXPECT_TRUE(r.registry->IsResident({"mlp", 3}));
 }
 
 // Concurrent Acquires of one cold version collapse onto a single load via

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "trace/generator.h"
 
@@ -28,10 +29,6 @@ double LagAutocorrelation(const std::vector<double>& x, size_t lag) {
   return den > 0.0 ? num / den : 0.0;
 }
 
-double CoefficientOfVariation(const ts::TimeSeries& s) {
-  return s.Stddev() / s.Mean();
-}
-
 TEST(GeneratorTest, DeterministicForSameSeed) {
   SyntheticTraceGenerator a(AlibabaProfile(), 42);
   SyntheticTraceGenerator b(AlibabaProfile(), 42);
@@ -53,6 +50,34 @@ TEST(GeneratorTest, DifferentSeedsDiffer) {
     diff += std::fabs(ta[i] - tb[i]);
   }
   EXPECT_GT(diff, 1.0);
+}
+
+// GenerateCpu skips the memory and disk series but must reproduce
+// Generate's CPU series bit-for-bit, including across week boundaries
+// (where the weekend factor switches).
+TEST(GeneratorTest, GenerateCpuMatchesGenerateBitForBit) {
+  for (const TraceProfile& profile : {AlibabaProfile(), GoogleProfile()}) {
+    for (uint64_t seed : {1u, 42u, 977u}) {
+      SyntheticTraceGenerator generator(profile, seed);
+      for (size_t steps : {size_t{0}, size_t{1}, kDay + 3, kWeek - 1, kWeek,
+                           kWeek + 1, 2 * kWeek + 17}) {
+        SCOPED_TRACE(::testing::Message() << profile.name << " seed " << seed
+                                          << " steps " << steps);
+        const ts::TimeSeries cpu = generator.GenerateCpu(steps);
+        const ResourceTrace full = generator.Generate(steps);
+        ASSERT_EQ(cpu.size(), steps);
+        ASSERT_EQ(full.cpu.size(), steps);
+        for (size_t t = 0; t < steps; ++t) {
+          ASSERT_EQ(std::memcmp(&cpu.values[t], &full.cpu.values[t],
+                                sizeof(double)),
+                    0)
+              << "step " << t;
+        }
+        EXPECT_EQ(cpu.name, full.cpu.name);
+        EXPECT_EQ(cpu.step_minutes, full.cpu.step_minutes);
+      }
+    }
+  }
 }
 
 TEST(GeneratorTest, RequestedLengthAndMetadata) {

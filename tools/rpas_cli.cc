@@ -59,7 +59,7 @@ class Flags {
       }
       const char* eq = std::strchr(arg, '=');
       if (eq == nullptr) {
-        values_[std::string(arg + 2)] = "1";
+        values_[std::string(arg + 2)].assign(1, '1');
       } else {
         values_[std::string(arg + 2, eq)] = eq + 1;
       }

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     }
     const char* eq = std::strchr(arg, '=');
     if (eq == nullptr) {
-      flags[std::string(arg + 2)] = "1";
+      flags[std::string(arg + 2)].assign(1, '1');
     } else {
       flags[std::string(arg + 2, eq)] = eq + 1;
     }

@@ -2,6 +2,7 @@
 #define RPAS_CORE_SCALING_CONFIG_H_
 
 #include <cmath>
+#include <limits>
 
 namespace rpas::core {
 
@@ -19,10 +20,16 @@ struct ScalingConfig {
 
 /// Minimum node count satisfying workload / c <= theta (with min/max
 /// clamping). The integral optimum of the per-step auto-scaling problem.
+/// A ratio of INT_MAX or more, +inf and NaN saturate to INT_MAX before the
+/// max_nodes clamp (scale out, never in); -inf and negative workloads give
+/// min_nodes.
 inline int RequiredNodes(double workload, const ScalingConfig& config) {
-  int nodes = static_cast<int>(std::ceil(workload / config.theta - 1e-9));
-  if (nodes < config.min_nodes) {
+  const double ratio = std::ceil(workload / config.theta - 1e-9);
+  int nodes = std::numeric_limits<int>::max();
+  if (ratio < config.min_nodes) {
     nodes = config.min_nodes;
+  } else if (ratio < static_cast<double>(nodes)) {
+    nodes = static_cast<int>(ratio);
   }
   if (config.max_nodes > 0 && nodes > config.max_nodes) {
     nodes = config.max_nodes;

@@ -38,7 +38,7 @@ Adam::Adam() : Adam(Options()) {}
 
 Adam::Adam(Options options) : options_(options) {}
 
-void Adam::Step(const std::vector<Parameter*>& params, double grad_scale) {
+double Adam::Step(const std::vector<Parameter*>& params, double grad_scale) {
   ++t_;
   kernels::AdamStep step;
   step.lr = options_.lr;
@@ -52,6 +52,7 @@ void Adam::Step(const std::vector<Parameter*>& params, double grad_scale) {
       1.0 - std::pow(options_.beta2, static_cast<double>(t_));
   step.grad_scale = grad_scale;
   const kernels::SimdLevel level = kernels::ActiveLevel();
+  double sq = 0.0;
   for (Parameter* p : params) {
     auto [it, inserted] = moments_.try_emplace(p);
     if (inserted) {
@@ -59,10 +60,11 @@ void Adam::Step(const std::vector<Parameter*>& params, double grad_scale) {
       it->second.v = Matrix(p->value.rows(), p->value.cols());
     }
     RPAS_DCHECK(p->grad.size() == p->value.size());
-    kernels::AdamUpdate(level, p->value.size(), step, p->value.data(),
-                        p->grad.data(), it->second.m.data(),
-                        it->second.v.data());
+    sq = kernels::AdamUpdate(level, p->value.size(), step, p->value.data(),
+                             p->grad.data(), it->second.m.data(),
+                             it->second.v.data(), sq);
   }
+  return sq;
 }
 
 Sgd::Sgd(double lr, double momentum) : lr_(lr), momentum_(momentum) {

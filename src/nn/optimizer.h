@@ -35,13 +35,17 @@ class Adam {
   explicit Adam(Options options);
 
   /// Applies one update using each parameter's current `grad`, then zeroes
-  /// the gradients.
-  void Step(const std::vector<Parameter*>& params) { Step(params, 1.0); }
+  /// the gradients. Returns the gradients' sum of squares before the update,
+  /// bit-identical to GradNorm(params)^2 before its square root.
+  double Step(const std::vector<Parameter*>& params) {
+    return Step(params, 1.0);
+  }
 
   /// Same, with every gradient multiplied by `grad_scale` first — the
   /// global-norm clip factor, applied in the same pass as the update (one
-  /// kernels::AdamUpdate call per parameter).
-  void Step(const std::vector<Parameter*>& params, double grad_scale);
+  /// kernels::AdamUpdate call per parameter). The returned sum of squares
+  /// is of the unscaled gradients.
+  double Step(const std::vector<Parameter*>& params, double grad_scale);
 
   /// Learning-rate accessor (for schedules).
   double lr() const { return options_.lr; }

@@ -317,10 +317,11 @@ void LstmCellBackwardScalar(size_t batch, size_t hidden, const double* act,
 }
 
 // The pre-kernel Adam::Step loop, expression for expression, with the clip
-// scale and gradient zeroing folded in.
-void AdamUpdateScalar(size_t n, const AdamStep& s, double* value,
-                      double* grad, double* m, double* v) {
+// scale, GradNorm's running sum of squares and gradient zeroing folded in.
+double AdamUpdateScalar(size_t n, const AdamStep& s, double* value,
+                        double* grad, double* m, double* v, double sq) {
   for (size_t i = 0; i < n; ++i) {
+    sq += grad[i] * grad[i];
     double g = grad[i] * s.grad_scale;
     if (s.weight_decay != 0.0) {
       g += s.weight_decay * value[i];
@@ -332,6 +333,7 @@ void AdamUpdateScalar(size_t n, const AdamStep& s, double* value,
     value[i] -= s.lr * m_hat / (std::sqrt(v_hat) + s.epsilon);
     grad[i] = 0.0;
   }
+  return sq;
 }
 
 // Cost model for the parallel drivers. Forking the shared pool costs on the
@@ -907,18 +909,19 @@ void EwRelu(SimdLevel level, size_t n, const double* x, double* out) {
   }
 }
 
-void AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
-                double* value, double* grad, double* m, double* v) {
+double AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
+                  double* value, double* grad, double* m, double* v,
+                  double sq) {
 #if RPAS_KERNELS_HAVE_AVX2
   if (level == SimdLevel::kAvx2) {
-    avx2::AdamUpdate(n, step, value, grad, m, v);
-    return;
+    return avx2::AdamUpdate(n, step, value, grad, m, v, sq);
   }
 #endif
-  // SSE2 routes here: the update is div/sqrt-bound and the scalar loop is
-  // the bit-identity reference.
+  // SSE2 routes here: the update is div/sqrt-bound, SSE2 has no FMA for the
+  // AVX2 body's reciprocal-corrected quotient, and the scalar loop is the
+  // bit-identity reference.
   (void)level;
-  AdamUpdateScalar(n, step, value, grad, m, v);
+  return AdamUpdateScalar(n, step, value, grad, m, v, sq);
 }
 
 void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,

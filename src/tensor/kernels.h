@@ -260,17 +260,23 @@ struct AdamStep {
 
 /// One Adam update over n parameters, fused with the gradient-clip scale
 /// and gradient zeroing. For each i:
+///   sq += grad[i] * grad[i]   (the unscaled gradient, in element order)
 ///   g = grad[i] * grad_scale, plus weight_decay * value[i] when nonzero
 ///   m[i] = beta1 * m[i] + (1 - beta1) * g
 ///   v[i] = beta2 * v[i] + (1 - beta2) * g * g
 ///   value[i] -= lr * (m[i] / bc1) / (sqrt(v[i] / bc2) + epsilon)
 ///   grad[i] = 0
-/// Every level evaluates exactly these expressions with separately rounded
-/// mul, add, div and sqrt (no FMA). IEEE div and sqrt are correctly rounded
-/// per lane, so the AVX2 body is bit-identical to the scalar reference, and
-/// the scale multiply is exact when grad_scale == 1.
-void AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
-                double* value, double* grad, double* m, double* v);
+/// and returns sq — nn::GradNorm's sum of squares, continued from the `sq`
+/// passed in. Every level evaluates exactly these expressions with
+/// separately rounded mul, add, div and sqrt. The AVX2 body computes the
+/// two bias-correction quotients from a per-call reciprocal with one FMA
+/// residual correction, which yields the correctly rounded quotient, and
+/// IEEE div and sqrt are correctly rounded per lane, so every level is
+/// bit-identical to the scalar reference. The scale multiply is exact when
+/// grad_scale == 1.
+double AdamUpdate(SimdLevel level, size_t n, const AdamStep& step,
+                  double* value, double* grad, double* m, double* v,
+                  double sq);
 
 // ---------------------------------------------------------------------------
 // Fused LSTM cell step (batch-major, gate order i, f, g, o — matching

@@ -8,7 +8,8 @@
 // the condition-aware ULP tests). exp/tanh/sigmoid are Cephes-style
 // polynomial evaluations within a few ULP of libm. The LSTM backward and the
 // Adam update use only mul/add/sub/div/sqrt in the scalar expression shapes
-// and are bit-identical to the scalar level.
+// (Adam's bias-correction divisions as a correctly rounded reciprocal-FMA
+// quotient) and are bit-identical to the scalar level.
 
 #include "tensor/kernels_internal.h"
 
@@ -434,8 +435,54 @@ RPAS_AVX2_FN void EwSigmoid(size_t n, const double* x, double* out) {
   }
 }
 
-RPAS_AVX2_FN void AdamUpdate(size_t n, const AdamStep& step, double* value,
-                             double* grad, double* m, double* v) {
+namespace {
+
+// |a| bounds inside which DivByInvariant's reciprocal path is exact for any
+// divisor in [kRecipMinDivisor, kRecipMaxDivisor]: the quotient stays normal
+// and finite, and the FMA residual a - b*q0 (about 2^-53 |a|) is exactly
+// representable.
+constexpr double kRecipMinAbs = 0x1p-960;
+constexpr double kRecipMaxAbs = 0x1p960;
+constexpr double kRecipMinDivisor = 0x1p-62;
+constexpr double kRecipMaxDivisor = 0x1p62;
+
+// a / b for a per-call divisor b with reciprocal y = 1.0 / b, bit-identical
+// to _mm256_div_pd(a, b). q0 = RN(a*y) is within one ulp of a/b, the residual
+// r = a - b*q0 is exact under one FMA, and RN(q0 + r*y) is the correctly
+// rounded quotient (Markstein, IBM J. Res. Dev. 1990). ±0 lanes return a
+// (sign kept); a vector with any lane outside [kRecipMinAbs, kRecipMaxAbs],
+// inf or NaN takes the real division.
+RPAS_AVX2_FN inline __m256d DivByInvariant(__m256d a, __m256d b, __m256d y) {
+  const __m256d abs_a = _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
+  const __m256d is_zero = _mm256_cmp_pd(a, _mm256_setzero_pd(), _CMP_EQ_OQ);
+  const __m256d in_range = _mm256_and_pd(
+      _mm256_cmp_pd(abs_a, _mm256_set1_pd(kRecipMinAbs), _CMP_GE_OQ),
+      _mm256_cmp_pd(abs_a, _mm256_set1_pd(kRecipMaxAbs), _CMP_LE_OQ));
+  if (_mm256_movemask_pd(_mm256_or_pd(in_range, is_zero)) != 0xF) {
+    return _mm256_div_pd(a, b);
+  }
+  const __m256d q0 = _mm256_mul_pd(a, y);
+  const __m256d r = _mm256_fnmadd_pd(b, q0, a);
+  return _mm256_blendv_pd(_mm256_fmadd_pd(r, y, q0), a, is_zero);
+}
+
+// Running sum sq + x0^2 + x1^2 + x2^2 + x3^2, one scalar add per lane in
+// lane order (the squares are the vector's own correctly rounded products).
+RPAS_AVX2_FN inline double AddSquaresInOrder(double sq, __m256d x) {
+  const __m256d x2 = _mm256_mul_pd(x, x);
+  const __m128d lo = _mm256_castpd256_pd128(x2);
+  const __m128d hi = _mm256_extractf128_pd(x2, 1);
+  sq += _mm_cvtsd_f64(lo);
+  sq += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
+  sq += _mm_cvtsd_f64(hi);
+  sq += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
+  return sq;
+}
+
+}  // namespace
+
+RPAS_AVX2_FN double AdamUpdate(size_t n, const AdamStep& step, double* value,
+                               double* grad, double* m, double* v, double sq) {
   const __m256d scale = _mm256_set1_pd(step.grad_scale);
   const __m256d decay = _mm256_set1_pd(step.weight_decay);
   const bool use_decay = step.weight_decay != 0.0;
@@ -445,6 +492,15 @@ RPAS_AVX2_FN void AdamUpdate(size_t n, const AdamStep& step, double* value,
   const __m256d one_minus_beta2 = _mm256_set1_pd(1.0 - step.beta2);
   const __m256d bc1 = _mm256_set1_pd(step.bias_correction1);
   const __m256d bc2 = _mm256_set1_pd(step.bias_correction2);
+  // Divisors outside the reciprocal path's proven range (never reached by
+  // Adam's 1 - beta^t) divide every lane.
+  const auto recip_ok = [](double b) {
+    return b >= kRecipMinDivisor && b <= kRecipMaxDivisor;
+  };
+  const bool use_recip =
+      recip_ok(step.bias_correction1) && recip_ok(step.bias_correction2);
+  const __m256d inv_bc1 = _mm256_set1_pd(1.0 / step.bias_correction1);
+  const __m256d inv_bc2 = _mm256_set1_pd(1.0 / step.bias_correction2);
   const __m256d lr = _mm256_set1_pd(step.lr);
   const __m256d eps = _mm256_set1_pd(step.epsilon);
   const __m256d zero = _mm256_setzero_pd();
@@ -464,6 +520,8 @@ RPAS_AVX2_FN void AdamUpdate(size_t n, const AdamStep& step, double* value,
       mv = _mm256_maskload_pd(m + i, mask);
       vv = _mm256_maskload_pd(v + i, mask);
     }
+    // Masked-off tail lanes load 0 and add +0 to the sum.
+    sq = AddSquaresInOrder(sq, gv);
     // The scalar reference's expression shapes, one rounding per operation.
     __m256d g = _mm256_mul_pd(gv, scale);
     if (use_decay) {
@@ -473,8 +531,10 @@ RPAS_AVX2_FN void AdamUpdate(size_t n, const AdamStep& step, double* value,
                        _mm256_mul_pd(one_minus_beta1, g));
     vv = _mm256_add_pd(_mm256_mul_pd(beta2, vv),
                        _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g));
-    const __m256d m_hat = _mm256_div_pd(mv, bc1);
-    const __m256d v_hat = _mm256_div_pd(vv, bc2);
+    const __m256d m_hat = use_recip ? DivByInvariant(mv, bc1, inv_bc1)
+                                    : _mm256_div_pd(mv, bc1);
+    const __m256d v_hat = use_recip ? DivByInvariant(vv, bc2, inv_bc2)
+                                    : _mm256_div_pd(vv, bc2);
     const __m256d update =
         _mm256_div_pd(_mm256_mul_pd(lr, m_hat),
                       _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
@@ -491,6 +551,7 @@ RPAS_AVX2_FN void AdamUpdate(size_t n, const AdamStep& step, double* value,
       _mm256_maskstore_pd(v + i, mask, vv);
     }
   }
+  return sq;
 }
 
 namespace {

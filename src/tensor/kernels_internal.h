@@ -39,8 +39,8 @@ double Dot(size_t n, const double* x, const double* y);
 double Sum(size_t n, const double* x);
 void EwTanh(size_t n, const double* x, double* out);
 void EwSigmoid(size_t n, const double* x, double* out);
-void AdamUpdate(size_t n, const AdamStep& step, double* value, double* grad,
-                double* m, double* v);
+double AdamUpdate(size_t n, const AdamStep& step, double* value,
+                  double* grad, double* m, double* v, double sq);
 void LstmCellForward(size_t batch, size_t hidden, double* gates,
                      const double* hh, const double* bias,
                      const double* c_prev, size_t ldcp, double* h_out,

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "core/manager.h"
+#include "core/online_loop.h"
 #include "core/scaling_config.h"
 #include "core/strategies.h"
 #include "core/uncertainty.h"
@@ -71,6 +74,49 @@ TEST(ScalingConfigTest, MaxNodesCap) {
   ScalingConfig config = UnitConfig();
   config.max_nodes = 3;
   EXPECT_EQ(RequiredNodes(100.0, config), 3);
+}
+
+TEST(ScalingConfigTest, RequiredNodesSaturatesOutOfRangeWorkload) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ScalingConfig config = UnitConfig();
+  config.min_nodes = 2;
+  // Ratios beyond int's range and NaN scale out, never in.
+  EXPECT_EQ(RequiredNodes(kInf, config), kMax);
+  EXPECT_EQ(RequiredNodes(1e300, config), kMax);
+  EXPECT_EQ(RequiredNodes(2147483648.0, config), kMax);
+  EXPECT_EQ(RequiredNodes(std::numeric_limits<double>::quiet_NaN(), config),
+            kMax);
+  EXPECT_EQ(RequiredNodes(2147483646.0, config), 2147483646);
+  // -inf and negative workloads take the min_nodes floor.
+  EXPECT_EQ(RequiredNodes(-kInf, config), 2);
+  EXPECT_EQ(RequiredNodes(-1e300, config), 2);
+  EXPECT_EQ(RequiredNodes(-3.0, config), 2);
+  // A max_nodes cap still applies after saturation.
+  config.max_nodes = 40;
+  EXPECT_EQ(RequiredNodes(kInf, config), 40);
+  EXPECT_EQ(RequiredNodes(1e300, config), 40);
+  EXPECT_EQ(RequiredNodes(std::numeric_limits<double>::quiet_NaN(), config),
+            40);
+  EXPECT_EQ(RequiredNodes(-kInf, config), 2);
+}
+
+TEST(ScalingConfigTest, FallbackPlanScalesOutOnInfinitePeak) {
+  const std::vector<double> recent = {3.0,
+                                      std::numeric_limits<double>::infinity(),
+                                      2.0};
+  ScalingConfig config = UnitConfig();
+  config.max_nodes = 50;
+  const DegradationPolicy policy;
+  const std::vector<int> plan =
+      BuildFallbackPlan(recent, {4}, /*current_nodes=*/5, config, policy);
+  ASSERT_EQ(plan.size(), policy.fallback_plan_steps);
+  for (int nodes : plan) {
+    EXPECT_EQ(nodes, 50);
+  }
+  config.max_nodes = 0;
+  EXPECT_EQ(BuildFallbackPlan(recent, {4}, 5, config, policy).front(),
+            std::numeric_limits<int>::max());
 }
 
 // --------------------------------------------------------------- Reactive ---

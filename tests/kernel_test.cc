@@ -980,7 +980,7 @@ TEST(AdamKernelTest, MatchesScalarLoopBitwiseAtEveryLevel) {
             }
             std::vector<double> grad_ref = grad;
             AdamUpdate(level, n, step, value.data(), grad.data(), m.data(),
-                       v.data());
+                       v.data(), 0.0);
             OracleAdamStep(step, clipped, n, value_ref.data(),
                            grad_ref.data(), m_ref.data(), v_ref.data());
             for (size_t i = 0; i < n; ++i) {
@@ -994,6 +994,130 @@ TEST(AdamKernelTest, MatchesScalarLoopBitwiseAtEveryLevel) {
           }
         }
       }
+    }
+  }
+}
+
+/// One operand lane for the stress test. Wild lanes are normal values over
+/// a wide exponent range plus the edges of the reciprocal path's range
+/// guard; tame lanes keep every quotient on the reciprocal path.
+double StressLane(Rng* rng, bool wild) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  static const double kSpecials[] = {
+      0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(), -0x1p-1050, 0x1p-1030,
+      0x1p-960, std::nextafter(0x1p-960, 0.0),
+      std::nextafter(0x1p-960, 1.0), -0x1p-960,
+      0x1p960, std::nextafter(0x1p960, 0.0), std::nextafter(0x1p960, kInf),
+      -0x1p960, 1e300, -1e300, std::numeric_limits<double>::max(), kInf,
+      -kInf, std::numeric_limits<double>::quiet_NaN()};
+  constexpr size_t kNumSpecials = sizeof(kSpecials) / sizeof(kSpecials[0]);
+  if (wild && rng->Uniform() < 0.15) {
+    return kSpecials[rng->NextUint64() % kNumSpecials];
+  }
+  const int exponents = wild ? 1960 : 500;
+  const double mag = std::ldexp(
+      rng->Uniform(1.0, 2.0),
+      static_cast<int>(rng->NextUint64() % exponents) - exponents / 2);
+  return rng->Uniform() < 0.5 ? -mag : mag;
+}
+
+/// Bitwise equality, or both NaN (NaN payloads and signs may differ).
+bool SameOrBothNan(double a, double b) {
+  return std::memcmp(&a, &b, 8) == 0 || (std::isnan(a) && std::isnan(b));
+}
+
+TEST(AdamKernelTest, ReciprocalDivisionAndFusedNormMatchOracleOnMillionLanes) {
+  // Bias corrections of Adam's defaults at these t, divisors at and beyond
+  // the reciprocal path's [2^-62, 2^62] guard, then random divisors.
+  std::vector<int> ts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100, 1000, 10000};
+  const std::vector<double> fixed_divisors = {0x1p-70, 0x1p-62, 0x1p62,
+                                              0x1p70,  3.0,     -0.75};
+  constexpr size_t kRandomDivisors = 3;
+  constexpr size_t kLanes = 4095;  // odd, so every call has a masked tail
+  for (SimdLevel level : SupportedLevels()) {
+    Rng rng(4242);
+    size_t lanes = 0;
+    const size_t num_divisors =
+        ts.size() + fixed_divisors.size() + kRandomDivisors;
+    for (size_t c = 0; c < num_divisors; ++c) {
+      for (int config = 0; config < 16; ++config) {
+        AdamStep step;
+        step.lr = 1e-3;
+        step.weight_decay = (config & 1) ? 0.01 : 0.0;
+        step.grad_scale = (config & 2) ? 0.37 : 1.0;
+        // Zero betas pass g (and g*g) straight into the bias-correction
+        // quotients, so the edge lanes reach the division unchanged.
+        const bool zero_betas = (config & 4) != 0;
+        step.beta1 = zero_betas ? 0.0 : 0.9;
+        step.beta2 = zero_betas ? 0.0 : 0.999;
+        if (c < ts.size()) {
+          step.bias_correction1 = 1.0 - std::pow(0.9, ts[c]);
+          step.bias_correction2 = 1.0 - std::pow(0.999, ts[c]);
+        } else if (c < ts.size() + fixed_divisors.size()) {
+          step.bias_correction1 = fixed_divisors[c - ts.size()];
+          step.bias_correction2 = fixed_divisors[c - ts.size()];
+        } else {
+          step.bias_correction1 = rng.Uniform(0.5, 1.0);
+          step.bias_correction2 = rng.Uniform(0.5, 1.0);
+        }
+        const bool wild = (config & 8) != 0;
+        const size_t n = kLanes - static_cast<size_t>(config);
+        std::vector<double> value(n), grad(n), m(n), v(n);
+        for (size_t i = 0; i < n; ++i) {
+          value[i] = StressLane(&rng, wild);
+          grad[i] = StressLane(&rng, wild);
+          m[i] = StressLane(&rng, wild);
+          v[i] = StressLane(&rng, wild);
+        }
+        std::vector<double> value_ref = value, grad_ref = grad, m_ref = m,
+                            v_ref = v;
+        const double sq_in = rng.Uniform(0.0, 4.0);
+        double sq_ref = sq_in;
+        for (size_t i = 0; i < n; ++i) {
+          sq_ref += grad[i] * grad[i];
+        }
+        const double sq = AdamUpdate(level, n, step, value.data(),
+                                     grad.data(), m.data(), v.data(), sq_in);
+        OracleAdamStep(step, step.grad_scale != 1.0, n, value_ref.data(),
+                       grad_ref.data(), m_ref.data(), v_ref.data());
+        ASSERT_TRUE(SameOrBothNan(sq, sq_ref))
+            << LevelName(level) << " sq=" << sq << " want " << sq_ref;
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(SameOrBothNan(m[i], m_ref[i]) &&
+                      SameOrBothNan(v[i], v_ref[i]) &&
+                      SameOrBothNan(value[i], value_ref[i]) &&
+                      SameOrBothNan(grad[i], grad_ref[i]))
+              << LevelName(level) << " divisor " << c << " config " << config
+              << " i=" << i << " value " << value[i] << " want "
+              << value_ref[i];
+        }
+        lanes += n;
+      }
+    }
+    EXPECT_GE(lanes, 1000000u) << LevelName(level);
+  }
+}
+
+TEST(AdamKernelTest, ReturnedSquaredNormIsSequentialSum) {
+  for (SimdLevel level : SupportedLevels()) {
+    for (size_t n : {0u, 1u, 3u, 4u, 5u, 9u, 2488u}) {
+      Rng rng(77 + n);
+      std::vector<double> value(n, 0.5), grad(n), m(n, 0.0), v(n, 0.0);
+      for (double& g : grad) {
+        g = rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.Uniform(-8, 8));
+      }
+      double want = 0.25;
+      for (double g : grad) {
+        want += g * g;
+      }
+      AdamStep step;
+      step.bias_correction1 = 0.1;
+      step.bias_correction2 = 1.0 - 0.999;
+      const double got = AdamUpdate(level, n, step, value.data(),
+                                    grad.data(), m.data(), v.data(), 0.25);
+      EXPECT_EQ(std::memcmp(&got, &want, 8), 0)
+          << LevelName(level) << " n=" << n;
     }
   }
 }

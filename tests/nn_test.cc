@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "autodiff/tape.h"
@@ -13,6 +15,7 @@
 #include "nn/losses.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
@@ -961,6 +964,240 @@ TEST(TrainerTest, NonFiniteStepsAreSkippedAndCounted) {
         weights_at_step[k][0] == weights_at_step[k + 1][0] &&
         weights_at_step[k][1] == weights_at_step[k + 1][1];
     EXPECT_EQ(unchanged, skipped) << "step " << k;
+  }
+}
+
+// ------------------------------------------------ fused clip-norm parity ---
+
+/// TrainLoop as it was before the clip norm was fused into the update, kept
+/// as the bit-identity oracle: GradNorm first, then Adam::Step(scale) or
+/// the skip path. `norms` receives every step's GradNorm.
+TrainSummary LegacyTrainLoop(
+    const TrainConfig& config, const std::vector<Parameter*>& params,
+    const std::function<Var(Tape*, Rng*)>& loss_fn,
+    std::vector<double>* norms) {
+  Rng rng(config.seed);
+  Adam optimizer(Adam::Options{.lr = config.lr});
+  obs::MetricsRegistry* metrics = config.metrics;
+  obs::Counter* steps_counter = metrics->GetCounter("nn.train.steps");
+  obs::Counter* clip_counter = metrics->GetCounter("nn.train.clip_events");
+  obs::Counter* nonfinite_counter =
+      metrics->GetCounter("nn.train.nonfinite_steps");
+  obs::Histogram* loss_hist = metrics->GetHistogram("nn.train.loss");
+  obs::Histogram* grad_hist = metrics->GetHistogram("nn.train.grad_norm");
+  TrainSummary summary;
+  summary.best_loss = std::numeric_limits<double>::infinity();
+  for (Parameter* p : params) {
+    p->ZeroGrad();
+  }
+  Tape tape;
+  for (int step = 0; step < config.steps; ++step) {
+    tape.Reset();
+    Var loss = loss_fn(&tape, &rng);
+    const double loss_value = loss.value()(0, 0);
+    tape.Backward(loss);
+    const double grad_norm = GradNorm(params);
+    norms->push_back(grad_norm);
+    const bool finite = std::isfinite(loss_value) && std::isfinite(grad_norm);
+    const bool clipped = finite && grad_norm > config.clip_norm;
+    if (finite) {
+      optimizer.Step(params, clipped ? config.clip_norm / grad_norm : 1.0);
+    } else {
+      for (Parameter* p : params) {
+        p->ZeroGrad();
+      }
+      ++summary.nonfinite_steps;
+      nonfinite_counter->Increment();
+    }
+    summary.final_loss = loss_value;
+    summary.best_loss = std::min(summary.best_loss, loss_value);
+    summary.final_grad_norm = grad_norm;
+    if (clipped) {
+      ++summary.clip_events;
+    }
+    ++summary.steps_run;
+    if (config.record_loss) {
+      summary.loss_history.push_back(loss_value);
+    }
+    if (step == 0) {
+      summary.arena_allocs_after_warmup = tape.ArenaStats().heap_allocs;
+    }
+    summary.arena_allocs_final = tape.ArenaStats().heap_allocs;
+    steps_counter->Increment();
+    if (finite) {
+      loss_hist->Observe(loss_value);
+      grad_hist->Observe(grad_norm);
+    }
+    if (clipped) {
+      clip_counter->Increment();
+    }
+  }
+  return summary;
+}
+
+struct ParityRun {
+  TrainSummary summary;
+  std::vector<double> weights;
+  std::vector<double> norms;  ///< per-step GradNorm (legacy loop only)
+  obs::MetricsRegistry metrics;
+};
+
+/// Trains a two-layer MLP for 40 steps on 8-row minibatches. Targets are
+/// scaled by 20 on every third step (so the gradient norm swings across a
+/// clip level) and set to NaN on `nan_steps`.
+void RunParityMlp(double clip_norm, const std::vector<int>& nan_steps,
+                  bool legacy, ParityRun* run) {
+  Rng data_rng(61);
+  const Matrix x = RandomMatrix(32, 6, &data_rng);
+  Matrix y(32, 1);
+  for (size_t r = 0; r < 32; ++r) {
+    y(r, 0) = std::tanh(x(r, 0) - 0.5 * x(r, 3)) + 0.3 * x(r, 5);
+  }
+  Rng init_rng(62);
+  Dense fc1(6, 16, Dense::Activation::kRelu, &init_rng);
+  Dense fc2(16, 1, Dense::Activation::kNone, &init_rng);
+  std::vector<Parameter*> params = fc1.Params();
+  for (Parameter* p : fc2.Params()) {
+    params.push_back(p);
+  }
+  TrainConfig config;
+  config.steps = 40;
+  config.lr = 0.01;
+  config.clip_norm = clip_norm;
+  config.record_loss = true;
+  config.metrics = &run->metrics;
+  int step = 0;
+  auto loss_fn = [&](Tape* t, Rng* rng) {
+    Matrix xs(8, 6);
+    Matrix ys(8, 1);
+    for (size_t r = 0; r < 8; ++r) {
+      const size_t row = static_cast<size_t>(rng->UniformInt(32));
+      for (size_t c = 0; c < 6; ++c) {
+        xs(r, c) = x(row, c);
+      }
+      ys(r, 0) = y(row, 0) * (step % 3 == 2 ? 20.0 : 1.0);
+    }
+    if (std::find(nan_steps.begin(), nan_steps.end(), step) !=
+        nan_steps.end()) {
+      ys(4, 0) = std::numeric_limits<double>::quiet_NaN();
+    }
+    ++step;
+    Var hidden = fc1.Forward(t, t->Constant(xs));
+    return MseLoss(t, fc2.Forward(t, hidden), t->Constant(ys));
+  };
+  run->summary = legacy ? LegacyTrainLoop(config, params, loss_fn, &run->norms)
+                        : TrainLoop(config, params, loss_fn);
+  for (Parameter* p : params) {
+    run->weights.insert(run->weights.end(), p->value.data(),
+                        p->value.data() + p->value.size());
+  }
+}
+
+void ExpectSameHistogram(const obs::Histogram& a, const obs::Histogram& b,
+                         const char* name) {
+  EXPECT_EQ(a.count(), b.count()) << name;
+  EXPECT_TRUE(SameBits(a.sum(), b.sum())) << name;
+  EXPECT_TRUE(SameBits(a.min(), b.min())) << name;
+  EXPECT_TRUE(SameBits(a.max(), b.max())) << name;
+  ASSERT_EQ(a.NumBuckets(), b.NumBuckets()) << name;
+  for (size_t i = 0; i < a.NumBuckets(); ++i) {
+    EXPECT_EQ(a.BucketCount(i), b.BucketCount(i)) << name << " bucket " << i;
+  }
+}
+
+void ExpectSameRun(ParityRun& want, ParityRun& got) {
+  ASSERT_EQ(want.weights.size(), got.weights.size());
+  for (size_t i = 0; i < want.weights.size(); ++i) {
+    ASSERT_TRUE(SameBits(want.weights[i], got.weights[i])) << "weight " << i;
+  }
+  const TrainSummary& a = want.summary;
+  const TrainSummary& b = got.summary;
+  EXPECT_TRUE(SameBits(a.final_loss, b.final_loss));
+  EXPECT_TRUE(SameBits(a.best_loss, b.best_loss));
+  EXPECT_EQ(a.steps_run, b.steps_run);
+  EXPECT_TRUE(SameBits(a.final_grad_norm, b.final_grad_norm));
+  EXPECT_EQ(a.clip_events, b.clip_events);
+  EXPECT_EQ(a.nonfinite_steps, b.nonfinite_steps);
+  ASSERT_EQ(a.loss_history.size(), b.loss_history.size());
+  for (size_t i = 0; i < a.loss_history.size(); ++i) {
+    EXPECT_TRUE(SameBits(a.loss_history[i], b.loss_history[i])) << i;
+  }
+  EXPECT_EQ(a.arena_allocs_after_warmup, b.arena_allocs_after_warmup);
+  EXPECT_EQ(a.arena_allocs_final, b.arena_allocs_final);
+  for (const char* name : {"nn.train.steps", "nn.train.clip_events",
+                           "nn.train.nonfinite_steps"}) {
+    EXPECT_EQ(want.metrics.GetCounter(name)->value(),
+              got.metrics.GetCounter(name)->value())
+        << name;
+  }
+  for (const char* name : {"nn.train.loss", "nn.train.grad_norm"}) {
+    ExpectSameHistogram(*want.metrics.GetHistogram(name),
+                        *got.metrics.GetHistogram(name), name);
+  }
+}
+
+TEST(TrainerTest, FusedNormMatchesLegacyLoopBitwise) {
+  // Step 0's norm does not depend on the clip level; using it as the clip
+  // level puts that step's bound inside the fast path's 1e-6 margin.
+  double first_norm = 0.0;
+  {
+    ParityRun probe;
+    RunParityMlp(1e9, {}, /*legacy=*/true, &probe);
+    first_norm = probe.norms[0];
+  }
+  struct Regime {
+    const char* name;
+    double clip_norm;
+    std::vector<int> nan_steps;
+  };
+  const Regime regimes[] = {
+      {"all-fast", 1e9, {}},
+      {"all-fallback", 1e-3, {}},
+      {"mixed", first_norm, {}},
+      {"nan-targets", 10.0, {3, 7, 8, 20}},
+  };
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel scoped(level);
+    for (const Regime& regime : regimes) {
+      SCOPED_TRACE(std::string(LevelName(level)) + " " + regime.name);
+      ParityRun want;
+      ParityRun got;
+      RunParityMlp(regime.clip_norm, regime.nan_steps, /*legacy=*/true,
+                   &want);
+      RunParityMlp(regime.clip_norm, regime.nan_steps, /*legacy=*/false,
+                   &got);
+      ExpectSameRun(want, got);
+
+      // The regime covers the paths it is named for.
+      int fast = 0;
+      int margin = 0;
+      int clipped = 0;
+      for (double norm : want.norms) {
+        if (!std::isfinite(norm)) {
+          continue;
+        }
+        if (norm > regime.clip_norm) {
+          ++clipped;
+        } else if (norm < regime.clip_norm * (1.0 - 1e-6)) {
+          ++fast;
+        } else {
+          ++margin;
+        }
+      }
+      const std::string name = regime.name;
+      if (name == "all-fast") {
+        EXPECT_EQ(fast, 40);
+      } else if (name == "all-fallback") {
+        EXPECT_EQ(clipped, 40);
+      } else if (name == "mixed") {
+        EXPECT_GT(fast, 0);
+        EXPECT_GT(clipped, 0);
+        EXPECT_EQ(margin, 1);
+        EXPECT_TRUE(SameBits(want.norms[0], regime.clip_norm));
+      } else {
+        EXPECT_EQ(want.summary.nonfinite_steps, 4);
+      }
+    }
   }
 }
 

@@ -202,7 +202,7 @@ double ReqPerSec(const CellResult& cell) {
 
 CellResult RunCell(const VersionSet& set, size_t tenants, int threads,
                    bool batched, size_t budget_bytes, size_t rounds,
-                   size_t shards = 1, bool per_shard_registries = false) {
+                   size_t shards = 1) {
   // Single-shot wall timings are noisy on small machines, so time the cell
   // a few times and keep the fastest run. Each repetition rebuilds the
   // registry so the warm cache starts cold every time; the FleetResult is
@@ -218,14 +218,6 @@ CellResult RunCell(const VersionSet& set, size_t tenants, int threads,
   fleet_options.seed = set.bench.seed;
   fleet_options.batched = batched;
   fleet_options.num_shards = shards;
-  if (per_shard_registries && shards > 1) {
-    // Each shard owns its own registry (same version universe, same
-    // budget), so shards never contend on one registry mutex.
-    const VersionSet* set_ptr = &set;
-    fleet_options.shard_registry_factory = [set_ptr, budget_bytes] {
-      return MakeRegistry(*set_ptr, budget_bytes);
-    };
-  }
   CellResult cell;
   cell.millis = 0.0;
   for (int rep = 0; rep < kTimingReps; ++rep) {
@@ -452,8 +444,8 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
     }
   }
 
-  // Shard scaling: batched serving at the largest tenant count with one
-  // registry per shard, swept over a shards x threads grid. The speedup
+  // Shard scaling: batched serving at the largest tenant count, every
+  // shard on the one registry, swept over a shards x threads grid. The speedup
   // column is measured against the 1-shard serial run of the same
   // configuration — the thread-scaling numbers EXPERIMENTS.md reports.
   // Results must be bit-identical to the serial run in every cell
@@ -476,8 +468,7 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
             (shards == 1 && threads == 1)
                 ? serial
                 : RunCell(set, tenants, threads, /*batched=*/true,
-                          tight_budget, rounds, shards,
-                          /*per_shard_registries=*/true);
+                          tight_budget, rounds, shards);
         all_identical =
             all_identical &&
             cell.fleet.mean_under_provision_rate ==
@@ -501,7 +492,7 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
       }
     }
     scaling.Print(StrFormat(
-        "Sharded fleet scaling (batched, per-shard registries, %zu rounds)",
+        "Sharded fleet scaling (batched, one shared registry, %zu rounds)",
         rounds));
     if (options.csv) {
       scaling.PrintCsv();

@@ -12,8 +12,7 @@
 //   - batched PredictBatch is bit-identical to unbatched PredictSeeded
 //     within every dtype (the kernel dequant path preserves the serving
 //     determinism contract);
-//   - q8 AND q8-int8 (the opt-in true-int8 GEMM core) wQL deltas <= 0.5%
-//     and f16 wQL delta <= 0.05% vs fp64;
+//   - q8 wQL delta <= 0.5% and f16 wQL delta <= 0.05% vs fp64;
 //   - q8 warm-cache bytes/tenant is >= 4x smaller than the fp64 text
 //     baseline.
 //
@@ -31,7 +30,6 @@
 #include "common/strings.h"
 #include "nn/qcheckpoint.h"
 #include "serve/registry.h"
-#include "tensor/kernels.h"
 #include "tensor/quant.h"
 #include "trace/generator.h"
 #include "ts/metrics.h"
@@ -124,7 +122,6 @@ struct DtypeSpec {
   std::string label;    ///< row label ("text-f64", "q8", ...)
   bool text = false;    ///< serve the fp64 text checkpoint directly
   tensor::DType dtype = tensor::DType::kF64;  ///< rpasq storage dtype
-  bool int8_gemm = false;  ///< serve q8 through the true-int8 GEMM core
 };
 
 struct RowResult {
@@ -145,11 +142,6 @@ RowResult RunRow(const BenchOptions& options, const DtypeSpec& spec,
                  size_t tenants, const std::string& mlp_text,
                  const std::string& deepar_text, const EvalSet& eval,
                  bool* identical) {
-  // The q8-int8 row is the q8 row served through the opt-in true-int8
-  // GEMM core (tensor/kernels.h): same checkpoints, same bytes, different
-  // inner loop. Batched/unbatched bit-identity must hold within the int8
-  // path too — each output row quantizes only its own activations.
-  const tensor::kernels::ScopedGemmQuantInt8 int8_scope(spec.int8_gemm);
   // Per-version checkpoint files: per-tenant models, so cold-start cost
   // and cache bytes scale with the tenant count, not with two shared
   // files.
@@ -295,7 +287,6 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
       {"f32", /*text=*/false, tensor::DType::kF32},
       {"f16", /*text=*/false, tensor::DType::kF16},
       {"q8", /*text=*/false, tensor::DType::kQ8},
-      {"q8-int8", /*text=*/false, tensor::DType::kQ8, /*int8_gemm=*/true},
   };
 
   TablePrinter table({"dtype", "tenants", "bytes/tenant", "mapped_KiB",
@@ -338,11 +329,7 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
     const RowResult& text = rows[base];
     for (size_t i = 0; i < specs.size(); ++i) {
       const RowResult& row = rows[base + i];
-      if (row.label == "q8" || row.label == "q8-int8") {
-        // The int8 fast path inherits the q8 accuracy budget: symmetric
-        // weight requantization + activation quantization must stay
-        // within the same 0.5% end-to-end wQL envelope as storage
-        // quantization itself (the bound tensor/kernels.h documents).
+      if (row.label == "q8") {
         if (row.wql_delta_pct > 0.5) {
           bounds_ok = false;
           std::fprintf(stderr,

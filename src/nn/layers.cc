@@ -268,34 +268,22 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
 namespace {
 
 /// The fp64 image of a recurrence weight for one Runner: the parameter
-/// itself, or the quantized payload decoded into `buffer` — unless the
-/// payload is q8 and the int8 GEMM is on, which returns null so the step
-/// keeps calling GemmQuant.
+/// itself, or the quantized payload decoded into `buffer`.
 const double* ResolveWeight(const Matrix& value, const tensor::QTensorView& q,
                             std::vector<double>* buffer) {
   if (!q.valid()) {
     return value.data();
-  }
-  if (q.dtype == tensor::DType::kQ8 && kernels::GemmQuantInt8Enabled()) {
-    return nullptr;
   }
   buffer->resize(q.size());
   tensor::DecodePayload(q.dtype, q.payload, q.size(), buffer->data());
   return buffer->data();
 }
 
-/// out (zeroed, a.rows() x n) += a * W, with W the resolved fp64 image or,
-/// when `w` is null, the quantized payload `q`.
-void MultiplyResolved(const Matrix& a, const double* w,
-                      const tensor::QTensorView& q, size_t n, Matrix* out) {
-  const kernels::SimdLevel level = kernels::ActiveLevel();
-  if (w != nullptr) {
-    kernels::Gemm(level, a.rows(), n, a.cols(), a.data(), a.cols(), w, n,
-                  out->data(), n);
-  } else {
-    kernels::GemmQuant(level, a.rows(), n, a.cols(), a.data(), a.cols(),
-                       q.dtype, q.payload, out->data(), n);
-  }
+/// out (zeroed, a.rows() x n) += a * W, with W the resolved fp64 image.
+void MultiplyResolved(const Matrix& a, const double* w, size_t n,
+                      Matrix* out) {
+  kernels::Gemm(kernels::ActiveLevel(), a.rows(), n, a.cols(), a.data(),
+                a.cols(), w, n, out->data(), n);
 }
 
 }  // namespace
@@ -317,8 +305,8 @@ void LstmCell::Runner::Step(const Matrix& x, const RawState& state,
   // Zeroed every step: both products accumulate into them.
   gates_.ResizeZero(batch, 4 * h);
   hh_.ResizeZero(batch, 4 * h);
-  MultiplyResolved(x, wx_, cell_.qwx_, 4 * h, &gates_);
-  MultiplyResolved(state.h, wh_, cell_.qwh_, 4 * h, &hh_);
+  MultiplyResolved(x, wx_, 4 * h, &gates_);
+  MultiplyResolved(state.h, wh_, 4 * h, &hh_);
   // The kernel overwrites every element of h and c.
   if (!next->h.SameShape(state.h)) {
     next->h.ResizeZero(batch, h);

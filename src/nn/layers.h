@@ -105,8 +105,7 @@ class LstmCell final : public Module {
   /// and QB5000 unrolls). Construction resolves the recurrence weights
   /// once: fp64 parameters are read in place, and a quantized payload is
   /// decoded into a buffer owned by the runner — the image GemmQuant would
-  /// decode again on every step, so results are bit-identical to it. A q8
-  /// payload under the opt-in int8 GEMM keeps going through GemmQuant. The
+  /// decode again on every step, so results are bit-identical to it. The
   /// runner also owns the gate buffers, so a roll at a steady batch size
   /// allocates nothing after its first step. The cell must outlive the
   /// runner; one runner serves one thread.
@@ -124,8 +123,8 @@ class LstmCell final : public Module {
     const LstmCell& cell_;
     std::vector<double> wx_decoded_;
     std::vector<double> wh_decoded_;
-    const double* wx_ = nullptr;  ///< null: multiply through GemmQuant
-    const double* wh_ = nullptr;
+    const double* wx_;  ///< W_x: the parameter or wx_decoded_
+    const double* wh_;  ///< W_h: the parameter or wh_decoded_
     Matrix gates_;  ///< x * W_x, then the activated gates
     Matrix hh_;     ///< h * W_h
   };

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -41,33 +42,16 @@ struct TenantState {
   TenantSummary summary;
 };
 
-/// One serving shard: its own inference engine and admission controller,
-/// plus its own model registry when the fleet provides a factory. Tenant
-/// state itself is partitioned by the shard map, so everything a shard
-/// touches during a round is disjoint from every other shard — rounds fan
-/// shards across the thread pool with no locking beyond the metrics
-/// sink's atomics.
+/// One serving shard: its own inference engine and admission controller.
+/// Every shard's engine serves from the fleet's one model registry, whose
+/// warm Acquire() is a lock-free snapshot read. Tenant state itself is
+/// partitioned by the shard map, so everything else a shard touches during
+/// a round is disjoint from every other shard — rounds fan shards across
+/// the thread pool with no locking beyond the metrics sink's atomics.
 struct Shard {
-  std::unique_ptr<ModelRegistry> owned_registry;  ///< null = shares main
-  ModelRegistry* registry = nullptr;
   std::unique_ptr<AdmissionController> admission;
   std::unique_ptr<BatchEngine> engine;
 };
-
-void AccumulateCacheStats(const ModelRegistry::CacheStats& from,
-                          ModelRegistry::CacheStats* into) {
-  into->hits += from.hits;
-  into->misses += from.misses;
-  into->evictions += from.evictions;
-  into->loads += from.loads;
-  into->resident_bytes += from.resident_bytes;
-  into->resident_models += from.resident_models;
-  into->mapped_bytes += from.mapped_bytes;
-  into->heap_bytes += from.heap_bytes;
-  into->charged_bytes += from.charged_bytes;
-  into->pinned_models += from.pinned_models;
-  into->pinned_bytes += from.pinned_bytes;
-}
 
 }  // namespace
 
@@ -87,6 +71,8 @@ size_t ShardOfTenant(uint64_t tenant_id, size_t num_shards) {
 
 TenantScenario MakeTenantScenario(const FleetOptions& options,
                                   uint64_t tenant_id) {
+  RPAS_CHECK(options.history_steps > 0)
+      << "MakeTenantScenario needs history_steps > 0";
   TenantScenario scenario;
   trace::SyntheticTraceGenerator generator(
       options.profile, DeriveSeed(options.seed, kTraceStream + tenant_id));
@@ -187,23 +173,12 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
 
   std::vector<Shard> shards(num_shards);
   for (Shard& shard : shards) {
-    if (options.shard_registry_factory != nullptr) {
-      shard.owned_registry = options.shard_registry_factory();
-      if (shard.owned_registry == nullptr) {
-        return Status::InvalidArgument(
-            "shard_registry_factory returned null");
-      }
-    }
-    shard.registry =
-        shard.owned_registry != nullptr ? shard.owned_registry.get()
-                                        : registry;
     // Every shard's controller is sized to the whole fleet: token buckets
     // are indexed by global tenant id, and the deadline-shed rotation
     // period must be the fleet-wide tenant count on every shard.
     shard.admission = std::make_unique<AdmissionController>(
         admission_options, options.num_tenants);
-    shard.engine =
-        std::make_unique<BatchEngine>(shard.registry, engine_options);
+    shard.engine = std::make_unique<BatchEngine>(registry, engine_options);
   }
 
   // Per-tenant setup: a scenario (workload, cluster, fault schedule) whose
@@ -640,12 +615,6 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     count("serve.refresh.full_retrains", result.refresh.full_retrains);
   }
   result.cache = registry->GetCacheStats();
-  for (const Shard& shard : shards) {
-    if (shard.owned_registry != nullptr) {
-      AccumulateCacheStats(shard.owned_registry->GetCacheStats(),
-                           &result.cache);
-    }
-  }
   return result;
 }
 

@@ -98,10 +98,9 @@ struct FleetResult {
   uint64_t prescale_activations = 0;
   uint64_t prescale_rollbacks = 0;
   uint64_t prescale_floor_raised_steps = 0;
-  /// Registry cache effectiveness over the whole run (includes the warm-up
-  /// Acquire() per distinct model at fleet setup). With per-shard
-  /// registries this sums every registry the run touched, so loads/misses
-  /// grow with the shard count even though serving results do not.
+  /// Cache effectiveness of the registry passed to RunFleet, which every
+  /// shard serves from, over the whole run (includes the warm-up
+  /// Acquire() per distinct model at fleet setup).
   ModelRegistry::CacheStats cache;
   /// Per-step records for the structured exporters (schema rpas_obs.v1);
   /// filled when FleetOptions::collect_decisions is set, run label
@@ -141,15 +140,17 @@ struct FleetOptions {
   /// (engine, admission, clusters); null routes to the global registry.
   obs::MetricsRegistry* metrics = nullptr;
   /// Serving shards. Tenants are assigned to shards by a stable hash of
-  /// their id; each shard owns a BatchEngine and an AdmissionController
-  /// (and a ModelRegistry when `shard_registry_factory` is set), and the
-  /// shards of a round execute in parallel on the RpasThreads() pool with
-  /// dynamic work-stealing (an idle thread claims the next unstarted
-  /// shard). 0 is treated as 1 (the unsharded single-tier fleet). The
-  /// FleetResult is bit-identical across every (num_shards, thread count)
-  /// combination — admission's deadline shed is computed globally over the
-  /// merged per-shard candidate lists and token buckets are per-tenant, so
-  /// sharding changes scheduling, never verdicts (see DESIGN.md).
+  /// their id; each shard owns a BatchEngine and an AdmissionController,
+  /// and the shards of a round execute in parallel on the RpasThreads()
+  /// pool with dynamic work-stealing (an idle thread claims the next
+  /// unstarted shard). Every shard serves from the one registry passed to
+  /// RunFleet; its warm Acquire() is a lock-free snapshot read, so sharing
+  /// it serializes nothing. 0 is treated as 1 (the unsharded single-tier
+  /// fleet). The FleetResult is bit-identical across every (num_shards,
+  /// thread count) combination — admission's deadline shed is computed
+  /// globally over the merged per-shard candidate lists and token buckets
+  /// are per-tenant, so sharding changes scheduling, never verdicts (see
+  /// DESIGN.md).
   size_t num_shards = 1;
   /// Capacity (points) of each tenant's streaming ingest ring. Realized
   /// workload observations are pushed per step and drained once per
@@ -193,18 +194,11 @@ struct FleetOptions {
   std::function<std::unique_ptr<forecast::Forecaster>(const ModelId&)>
       refresh_model_factory;
   stream::RefresherOptions refresher;
-  /// Builds one model registry per shard with every referenced version
-  /// registered against the same checkpoints as the registry passed to
-  /// RunFleet. When null, all shards share that registry — correct, but
-  /// its internal mutex stays the cross-shard serialization point, which
-  /// defeats most of the sharding speedup. FleetResult::cache aggregates
-  /// over every registry the run touched.
-  std::function<std::unique_ptr<ModelRegistry>()> shard_registry_factory;
 };
 
 /// Stable tenant→shard assignment (SplitMix64 finalizer on the id). Pure
 /// and platform-independent, so a tenant's shard — and with it the
-/// composition of every per-shard cache — never changes across runs.
+/// composition of every shard's batches — never changes across runs.
 size_t ShardOfTenant(uint64_t tenant_id, size_t num_shards);
 
 /// The synthetic scenario RunFleet serves a tenant: its workload trace
@@ -218,6 +212,8 @@ struct TenantScenario {
   simdb::Cluster::Options cluster;
   simdb::FaultPlan faults;
 };
+/// CHECK-fails when `options.history_steps` is 0: theta and the starting
+/// node count are both computed from the history.
 TenantScenario MakeTenantScenario(const FleetOptions& options,
                                   uint64_t tenant_id);
 

@@ -590,178 +590,10 @@ void Gemm(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
   });
 }
 
-// ------------------------------------------------- int8 GemmQuant path ---
-
-namespace {
-
-// -1 = unresolved (read RPAS_INT8_GEMM once); 0 = off; 1 = on.
-std::atomic<int> g_int8_mode{-1};
-
-bool ResolveInt8Env() {
-  const char* value = std::getenv("RPAS_INT8_GEMM");
-  if (value == nullptr) {
-    return false;
-  }
-  return std::strcmp(value, "") != 0 && std::strcmp(value, "0") != 0 &&
-         std::strcmp(value, "false") != 0 && std::strcmp(value, "off") != 0;
-}
-
-/// Exact integer dot of one kQ8BlockValues-wide int8 block — the scalar
-/// reference the AVX2 maddubs kernel must match bit-for-bit (it does:
-/// both are exact integer arithmetic).
-int32_t DotQ8BlockScalar(const int8_t* a, const int8_t* w) {
-  int32_t acc = 0;
-  for (size_t r = 0; r < kQ8BlockValues; ++r) {
-    acc += static_cast<int32_t>(a[r]) * static_cast<int32_t>(w[r]);
-  }
-  return acc;
-}
-
-/// Symmetric int8 quantization of `len` strided doubles into one padded
-/// block: scale = maxabs/127, codes = round(v/scale) in [-127, 127], tail
-/// zero-padded (zero codes contribute exactly 0 to every dot). Pure
-/// per-element scalar function — identical at every SIMD level.
-void QuantizeBlockSymmetric(const double* src, size_t len, size_t stride,
-                            int8_t* dst, double* scale_out) {
-  double maxabs = 0.0;
-  for (size_t r = 0; r < len; ++r) {
-    maxabs = std::max(maxabs, std::fabs(src[r * stride]));
-  }
-  if (maxabs == 0.0) {
-    std::memset(dst, 0, kQ8BlockValues);
-    *scale_out = 0.0;
-    return;
-  }
-  const double scale = maxabs / 127.0;
-  for (size_t r = 0; r < len; ++r) {
-    const long long code = std::llround(src[r * stride] / scale);
-    dst[r] = static_cast<int8_t>(
-        std::clamp<long long>(code, -127, 127));
-  }
-  if (len < kQ8BlockValues) {
-    std::memset(dst + len, 0, kQ8BlockValues - len);
-  }
-  *scale_out = scale;
-}
-
-/// True int8 core for q8 weights: C += A * requant(decode(Bq)).
-///
-/// The stored q8 blocks run along B's flattened row-major (k x n) order —
-/// j-contiguous — so a k-direction dot would cross a stored block boundary
-/// every step. Instead the payload is decoded once and requantized into
-/// k-major symmetric int8 blocks (ggml q8_0-style: per-block fp64 scale,
-/// codes in [-127, 127]); activations quantize the same way per (row,
-/// k-block). Each output element accumulates per-block
-/// ascale * wscale * exact_integer_dot in ascending k-block order, so the
-/// result is bit-identical across SIMD levels and thread counts (rows are
-/// independent; the per-element float sequence is fixed). Accuracy vs the
-/// dequant path is bounded by the weight-requantization and
-/// activation-quantization steps — measured end-to-end in
-/// bench/quantized_serving against the documented wQL bound.
-void GemmQ8Int8(SimdLevel level, size_t m, size_t n, size_t k,
-                const double* a, size_t lda, const uint8_t* b_payload,
-                double* c, size_t ldc) {
-  const size_t blocks = (k + kQ8BlockValues - 1) / kQ8BlockValues;
-  const size_t kp = blocks * kQ8BlockValues;
-
-  // Decode the stored blocks to fp64 once (same cost the dequant path
-  // pays), then requantize k-major. All scratch is thread_local to the
-  // calling thread, so concurrent GEMMs never contend.
-  thread_local std::vector<double> decode_buffer;
-  decode_buffer.resize(k * n);
-  DecodePayload(DType::kQ8, b_payload, k * n, decode_buffer.data());
-  const double* b = decode_buffer.data();
-
-  thread_local std::vector<int8_t> wq_buffer;
-  thread_local std::vector<double> wscale_buffer;
-  wq_buffer.resize(n * kp);
-  wscale_buffer.resize(n * blocks);
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t t = 0; t < blocks; ++t) {
-      const size_t p0 = t * kQ8BlockValues;
-      const size_t len = std::min(kQ8BlockValues, k - p0);
-      QuantizeBlockSymmetric(b + p0 * n + j, len, n,
-                             wq_buffer.data() + j * kp + p0,
-                             wscale_buffer.data() + j * blocks + t);
-    }
-  }
-
-  thread_local std::vector<int8_t> aq_buffer;
-  thread_local std::vector<double> ascale_buffer;
-  aq_buffer.resize(m * kp);
-  ascale_buffer.resize(m * blocks);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t t = 0; t < blocks; ++t) {
-      const size_t p0 = t * kQ8BlockValues;
-      const size_t len = std::min(kQ8BlockValues, k - p0);
-      QuantizeBlockSymmetric(a + i * lda + p0, len, 1,
-                             aq_buffer.data() + i * kp + p0,
-                             ascale_buffer.data() + i * blocks + t);
-    }
-  }
-
-  int32_t (*dot)(const int8_t*, const int8_t*) = DotQ8BlockScalar;
-#if RPAS_KERNELS_HAVE_AVX2
-  if (level == SimdLevel::kAvx2) {
-    dot = avx2::DotQ8Block;
-  }
-#endif
-  const int8_t* wq = wq_buffer.data();
-  const double* wscale = wscale_buffer.data();
-  const int8_t* aq = aq_buffer.data();
-  const double* ascale = ascale_buffer.data();
-  ParallelFor(0, m, GemmRowGrain(m, n, k), [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const int8_t* arow = aq + i * kp;
-      const double* arow_scale = ascale + i * blocks;
-      double* crow = c + i * ldc;
-      for (size_t j = 0; j < n; ++j) {
-        const int8_t* wrow = wq + j * kp;
-        const double* wrow_scale = wscale + j * blocks;
-        double acc = 0.0;
-        for (size_t t = 0; t < blocks; ++t) {
-          const int32_t idot =
-              dot(arow + t * kQ8BlockValues, wrow + t * kQ8BlockValues);
-          acc += arow_scale[t] * wrow_scale[t] * static_cast<double>(idot);
-        }
-        crow[j] += acc;
-      }
-    }
-  });
-}
-
-}  // namespace
-
-bool GemmQuantInt8Enabled() {
-  int mode = g_int8_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    mode = ResolveInt8Env() ? 1 : 0;
-    g_int8_mode.store(mode, std::memory_order_relaxed);
-  }
-  return mode == 1;
-}
-
-void SetGemmQuantInt8Enabled(bool enabled) {
-  g_int8_mode.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-ScopedGemmQuantInt8::ScopedGemmQuantInt8(bool enabled)
-    : previous_(GemmQuantInt8Enabled()) {
-  SetGemmQuantInt8Enabled(enabled);
-}
-
-ScopedGemmQuantInt8::~ScopedGemmQuantInt8() {
-  SetGemmQuantInt8Enabled(previous_);
-}
-
 void GemmQuant(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
                size_t lda, DType b_dtype, const uint8_t* b_payload, double* c,
                size_t ldc) {
   if (m == 0 || n == 0 || k == 0) {
-    return;
-  }
-  if (b_dtype == DType::kQ8 && GemmQuantInt8Enabled()) {
-    GemmQ8Int8(level, m, n, k, a, lda, b_payload, c, ldc);
     return;
   }
   // Decode the stored weights into a thread-local fp64 image once per call

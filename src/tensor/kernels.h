@@ -158,65 +158,9 @@ void GemmNT(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
 /// *within* a dtype. Decoded values are exact functions of the stored
 /// bytes, so results are also identical across hosts and SIMD levels
 /// modulo the documented Gemm() level contract.
-///
-/// kQ8 payloads take the true-int8 core instead when the opt-in
-/// GemmQuantInt8Enabled() fast path is on (see above); all other dtypes
-/// always use the decode path.
 void GemmQuant(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
                size_t lda, DType b_dtype, const uint8_t* b_payload, double* c,
                size_t ldc);
-
-/// Opt-in true-int8 fast path for DType::kQ8 weights in GemmQuant.
-///
-/// When enabled, q8 payloads skip the dequantize-to-fp64 GEMM: the stored
-/// blocks are requantized per call into k-major symmetric int8 blocks
-/// (64-wide, per-block fp64 scale), activations are quantized to symmetric
-/// int8 per (row, k-block), and the m x n x k core runs on exact integer
-/// block dots — AVX2 uses the maddubs sign trick (|qa| x sign-adjusted qw;
-/// pair sums bounded by 2*127*127 < 2^15, so the i16 lane never saturates
-/// and the integer dot is exact), the scalar reference computes the same
-/// integer dot directly. The per-block f32-scale application walks blocks
-/// in ascending k order per output element at every level, so the int8
-/// path is BIT-IDENTICAL across scalar/SSE2/AVX2 — but it is NOT
-/// bit-identical to the default dequant path: symmetric weight
-/// requantization and activation quantization add bounded error
-/// (measured end-to-end as a wQL delta in bench/quantized_serving; the
-/// bench enforces the documented <= 0.5% bound). Default off: every
-/// existing q8 serving result is unchanged unless a caller opts in.
-///
-/// Resolution order: SetGemmQuantInt8Enabled() wins; otherwise the
-/// RPAS_INT8_GEMM environment variable (truthy = on), read once.
-bool GemmQuantInt8Enabled();
-void SetGemmQuantInt8Enabled(bool enabled);
-
-/// RAII override of the int8 fast-path flag (parity tests, benches).
-class ScopedGemmQuantInt8 {
- public:
-  explicit ScopedGemmQuantInt8(bool enabled);
-  ~ScopedGemmQuantInt8();
-  ScopedGemmQuantInt8(const ScopedGemmQuantInt8&) = delete;
-  ScopedGemmQuantInt8& operator=(const ScopedGemmQuantInt8&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// Named dtype entry points (thin wrappers over GemmQuant).
-inline void GemmQ8(SimdLevel level, size_t m, size_t n, size_t k,
-                   const double* a, size_t lda, const uint8_t* b_payload,
-                   double* c, size_t ldc) {
-  GemmQuant(level, m, n, k, a, lda, DType::kQ8, b_payload, c, ldc);
-}
-inline void GemmF16(SimdLevel level, size_t m, size_t n, size_t k,
-                    const double* a, size_t lda, const uint8_t* b_payload,
-                    double* c, size_t ldc) {
-  GemmQuant(level, m, n, k, a, lda, DType::kF16, b_payload, c, ldc);
-}
-inline void GemmF32(SimdLevel level, size_t m, size_t n, size_t k,
-                    const double* a, size_t lda, const uint8_t* b_payload,
-                    double* c, size_t ldc) {
-  GemmQuant(level, m, n, k, a, lda, DType::kF32, b_payload, c, ldc);
-}
 
 // ---------------------------------------------------------------------------
 // Vector primitives.

@@ -709,32 +709,6 @@ RPAS_AVX2_FN void LstmCellBackward(size_t batch, size_t hidden,
   }
 }
 
-RPAS_AVX2_FN int32_t DotQ8Block(const int8_t* a, const int8_t* w) {
-  // maddubs multiplies u8 x s8 and adds adjacent pairs into i16. With both
-  // inputs quantized to [-127, 127], |a| * sign-adjusted w keeps every pair
-  // sum <= 2 * 127 * 127 = 32258 < 2^15: no saturation, so the i16 stage is
-  // exact and madd_epi16 against 1 widens it exactly into i32 lanes. The
-  // result is therefore the integer dot bit-for-bit — the scalar reference
-  // in kernels.cc computes the identical value.
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc = _mm256_setzero_si256();
-  for (int off = 0; off < 64; off += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + off));
-    const __m256i vw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + off));
-    const __m256i abs_a = _mm256_abs_epi8(va);
-    const __m256i signed_w = _mm256_sign_epi8(vw, va);
-    const __m256i pairs = _mm256_maddubs_epi16(abs_a, signed_w);
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
-  }
-  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(sum);
-}
-
 }  // namespace rpas::tensor::kernels::avx2
 
 #endif  // RPAS_KERNELS_HAVE_AVX2

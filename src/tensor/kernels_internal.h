@@ -6,7 +6,6 @@
 // Not installed / not for use outside src/tensor.
 
 #include <cstddef>
-#include <cstdint>
 
 #include "tensor/kernels.h"
 
@@ -49,10 +48,6 @@ void LstmCellBackward(size_t batch, size_t hidden, const double* act,
                       const double* c_prev, size_t ldcp, const double* tanh_c,
                       const double* dh, size_t ldh, const double* dc,
                       size_t ldc, double* dgates, double* dc_prev);
-/// Exact integer dot of one 64-value int8 block: maddubs on (|a|, sign(w,a))
-/// — pair sums bounded by 2*127*127 < 2^15, so the i16 stage never
-/// saturates and the result equals the scalar int32 dot bit-for-bit.
-int32_t DotQ8Block(const int8_t* a, const int8_t* w);
 
 }  // namespace rpas::tensor::kernels::avx2
 

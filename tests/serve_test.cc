@@ -691,11 +691,11 @@ void ExpectSameFleetResult(const FleetResult& a, const FleetResult& b) {
 TEST(FleetTest, ResultIdenticalAcrossShardAndThreadCounts) {
   // Sharding changes scheduling, never results: the deadline shed runs
   // globally over the merged per-shard candidate lists and token buckets
-  // are per-tenant, so every (num_shards, threads, registry topology)
-  // combination must reproduce the unsharded serial run bit-for-bit. A
-  // finite round budget forces sheds every round so the cross-shard
-  // admission merge is actually exercised.
-  auto run = [](size_t shards, int threads, bool sharded_registries) {
+  // are per-tenant, so every (num_shards, threads) combination must
+  // reproduce the unsharded serial run bit-for-bit. A finite round budget
+  // forces sheds every round so the cross-shard admission merge is
+  // actually exercised.
+  auto run = [](size_t shards, int threads) {
     SetRpasThreads(threads);
     TestRegistry r = MakeRegistry(1 << 20);
     FleetOptions options = SmallFleetOptions();
@@ -703,47 +703,46 @@ TEST(FleetTest, ResultIdenticalAcrossShardAndThreadCounts) {
     options.admission.round_budget = 4;  // 6 tenants want in: 2 shed
     options.metrics = r.metrics.get();
     options.num_shards = shards;
-    if (sharded_registries) {
-      obs::MetricsRegistry* metrics = r.metrics.get();
-      options.shard_registry_factory = [metrics] {
-        ModelRegistry::Options shard_options;
-        shard_options.cache_budget_bytes = 1 << 20;
-        shard_options.metrics = metrics;
-        auto shard = std::make_unique<ModelRegistry>(shard_options);
-        RPAS_CHECK(shard
-                       ->RegisterVersion({"mlp", 1}, Checkpoints().mlp_path,
-                                         MlpFactory())
-                       .ok());
-        RPAS_CHECK(shard
-                       ->RegisterVersion({"deepar", 1},
-                                         Checkpoints().deepar_path,
-                                         DeepArFactory())
-                       .ok());
-        return shard;
-      };
-    }
     auto result = RunFleet(r.registry.get(),
                            {{"mlp", 1}, {"deepar", 1}}, options);
     SetRpasThreads(0);
     RPAS_CHECK(result.ok());
     return std::move(*result);
   };
-  const FleetResult baseline = run(1, 1, false);
+  const FleetResult baseline = run(1, 1);
   EXPECT_GT(baseline.requests_shed, 0u);
 
   struct Case {
     size_t shards;
     int threads;
-    bool sharded_registries;
   };
-  for (const Case c : {Case{2, 1, false}, Case{3, 8, false},
-                       Case{2, 8, true}, Case{3, 2, true},
-                       Case{6, 4, true}}) {
+  for (const Case c : {Case{2, 1}, Case{3, 8}, Case{2, 8}, Case{3, 2},
+                       Case{6, 4}}) {
     SCOPED_TRACE(::testing::Message()
-                 << "shards=" << c.shards << " threads=" << c.threads
-                 << " sharded_registries=" << c.sharded_registries);
-    ExpectSameFleetResult(baseline,
-                          run(c.shards, c.threads, c.sharded_registries));
+                 << "shards=" << c.shards << " threads=" << c.threads);
+    ExpectSameFleetResult(baseline, run(c.shards, c.threads));
+  }
+}
+
+TEST(FleetTest, ShardsShareOneRegistry) {
+  // Every shard serves from the registry passed to RunFleet, so with a
+  // budget that holds every version each one loads exactly once — at the
+  // warm-up Acquire() — whatever the shard count. FleetResult::cache is
+  // that registry's stats, which ExpectSameFleetResult does not compare.
+  for (size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    TestRegistry r = MakeRegistry(1 << 20);
+    FleetOptions options = SmallFleetOptions();
+    options.num_tenants = 8;
+    options.metrics = r.metrics.get();
+    options.num_shards = shards;
+    auto result = RunFleet(r.registry.get(),
+                           {{"mlp", 1}, {"deepar", 1}}, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->cache.loads, 2u);
+    EXPECT_EQ(result->cache.misses, 2u);
+    EXPECT_EQ(result->cache.evictions, 0u);
+    EXPECT_GT(result->cache.hits, 0u);
   }
 }
 
@@ -976,17 +975,14 @@ TEST(FleetTest, InvalidOptionsRejected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  // A shard registry factory that produces no registry is a configuration
-  // error, not a crash.
-  FleetOptions null_factory = SmallFleetOptions();
-  null_factory.num_shards = 2;
-  null_factory.shard_registry_factory = [] {
-    return std::unique_ptr<ModelRegistry>();
-  };
-  EXPECT_EQ(RunFleet(r.registry.get(), {{"mlp", 1}}, null_factory)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+}
+
+TEST(FleetDeathTest, MakeTenantScenarioRejectsEmptyHistory) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  FleetOptions options = SmallFleetOptions();
+  options.history_steps = 0;
+  EXPECT_DEATH(MakeTenantScenario(options, 0),
+               "MakeTenantScenario needs history_steps > 0");
 }
 
 // -------------------------------------------------- Adaptive selection ---

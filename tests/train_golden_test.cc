@@ -55,7 +55,6 @@ using forecast::TftForecaster;
 using tensor::DType;
 using tensor::kernels::LevelName;
 using tensor::kernels::LevelSupported;
-using tensor::kernels::ScopedGemmQuantInt8;
 using tensor::kernels::ScopedSimdLevel;
 using tensor::kernels::SimdLevel;
 
@@ -462,8 +461,6 @@ TEST(ServeGoldenTest, DeepArBatchedMatchesUnbatchedAtEveryLevel) {
     const auto q8 =
         LoadDeepAr(DeepArForecaster::Head::kStudentT, paths.q8, true);
     ExpectBatchedMatchesUnbatched(*q8, name + " q8");
-    ScopedGemmQuantInt8 int8(true);
-    ExpectBatchedMatchesUnbatched(*q8, name + " q8 int8-GEMM");
   }
   RemoveCheckpoints(paths);
 }
